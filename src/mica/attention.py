@@ -9,14 +9,14 @@ of O((P*C)^2).  A learnable gate mixes the two per head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .nn import Linear, Module, dropout
-from .tensor import (ShapeError, Tensor, concat, gelu, phi, sigmoid,
-                     softmax_lastdim)
+from .tensor import (ShapeError, Tensor, concat, gelu, phi, phi_np, sigmoid,
+                     sigmoid_np, softmax_lastdim)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -316,19 +316,6 @@ def online_softmax_update(m, l, acc, scores, values):
     return m_new, l_new, acc_new
 
 
-def _phi_np(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                   eps: float = 1e-6) -> np.ndarray:
     """Two-pass fused evaluation of the mixed attention output.
@@ -346,16 +333,19 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
         raise ShapeError("fused path needs d_q == d_k")
     if block_rows < 1 or block_cols < 1:
         raise ValueError("block sizes must be >= 1")
+    if beta.shape[1] not in (1, c):
+        raise ShapeError(
+            f"gate holds {beta.shape[1]} channel slots but input has {c}")
     scale = 1.0 / np.sqrt(d_k)
 
     memory = np.zeros((b, n, d_k, d_v))
     z = np.zeros((b, n, d_k))
     for ci in range(c):
-        pk = _phi_np(k[:, ci])                       # (B,N,P,d_k)
+        pk = phi_np(k[:, ci])                        # (B,N,P,d_k)
         memory += np.matmul(pk.swapaxes(-1, -2), v[:, ci])
         z += pk.sum(axis=-2)
 
-    gate = np.broadcast_to(_sigmoid_np(beta), (1, beta.shape[1], n, 1, 1))
+    gate = np.broadcast_to(sigmoid_np(beta), (1, c, n, 1, 1))
     out = np.empty((b, c, n, p, d_v))
     for ci in range(c):
         qc, kc, vc = q[:, ci], k[:, ci], v[:, ci]    # (B,N,P,d)
@@ -373,8 +363,7 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                 m, l, acc = online_softmax_update(m, l, acc, s,
                                                   vc[:, :, j0:j1])
             local[:, :, i0:i1] = acc / l[..., None]
-        pq = _phi_np(qc)
+        pq = phi_np(qc)
         glob = np.matmul(pq, memory) / (np.matmul(pq, z[..., None]) + eps)
-        gc = gate[:, min(ci, gate.shape[1] - 1)]
-        out[:, ci] = gc * glob + (1.0 - gc) * local
+        out[:, ci] = gate[:, ci] * glob + (1.0 - gate[:, ci]) * local
     return out

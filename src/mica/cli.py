@@ -22,8 +22,8 @@ from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
 from .bench import (MECHANISMS, fit_scaling, set_blas_threads,
                     sweep_channels, sweep_lengths)
 from .data import ConfigError, PanelDataset, chrono_split, load_csv
-from .tensor import no_grad
-from .training import TrainConfig, TrainReport, eval_windows, evaluate, train
+from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
+                       predict, rmse, train)
 
 
 def _parse_bool(text: str) -> bool:
@@ -260,18 +260,14 @@ def cmd_eval(args) -> int:
     model.load_state(arrays)
 
     ctx, tgt = eval_windows(panel, mcfg.input_size, mcfg.horizon, "test")
-    test_mae, test_rmse = evaluate(model, ctx, tgt)
+    pred = predict(model, ctx)
+    test_mae, test_rmse = mae(tgt, pred), rmse(tgt, pred)
     vctx, vtgt = eval_windows(panel, mcfg.input_size, mcfg.horizon, "val")
     val_mae, val_rmse = evaluate(model, vctx, vtgt)
     _write_csv(out / "metrics.csv", ["split", "mae", "rmse"],
                [["val", _fmt(val_mae), _fmt(val_rmse)],
                 ["test", _fmt(test_mae), _fmt(test_rmse)]])
 
-    preds = []
-    with no_grad():
-        for i in range(0, len(ctx), 64):
-            preds.append(model.forward(ctx[i:i + 64]).data)
-    pred = np.concatenate(preds, axis=0)
     rows = []
     for w in range(pred.shape[0]):
         for ci, cid in enumerate(panel.channel_ids):

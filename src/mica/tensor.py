@@ -112,10 +112,18 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``.grad``.  A first gradient is taken as is when
+        ``owned`` (built fresh by the backward closure), else copied: it may
+        alias an upstream gradient or a read-only broadcast view, which a
+        later in-place add must not write through."""
+        if self.grad is not None:
+            self.grad += g
+        elif owned:
+            self.grad = np.asarray(g)     # a 0-d product is a numpy scalar
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
 
     def backward(self) -> None:
         """Backpropagate from a scalar; accumulates into ``.grad`` buffers."""
@@ -137,7 +145,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -220,7 +228,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
 
     return _make(out, "sub", (a, b), backward)
 
@@ -231,9 +239,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(out, "mul", (a, b), backward)
 
@@ -244,10 +252,10 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                       b.shape))
+                                       b.shape), owned=True)
 
     return _make(out, "div", (a, b), backward)
 
@@ -263,12 +271,22 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
+        if b.ndim == 2:
+            # activation @ weight: each gradient is one 2-D GEMM over the
+            # flattened leading axes, with no broadcast sum for the weight
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
+            if b.requires_grad:
+                a2 = a.data.reshape(-1, a.shape[-1])
+                b._accumulate(a2.T @ g2, owned=True)
+            return
         if a.requires_grad:
             ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(out, "matmul", (a, b), backward)
 
@@ -288,37 +306,50 @@ def softmax_lastdim(x) -> Tensor:
         if x.requires_grad:
             # d softmax: y * (g - sum(g * y))
             gy = (g * out).sum(axis=-1, keepdims=True)
-            x._accumulate(out * (g - gy))
+            x._accumulate(out * (g - gy), owned=True)
 
     return _make(out, "softmax", (x,), backward)
+
+
+def phi_np(x: np.ndarray) -> np.ndarray:
+    """ELU(x) + 1 on an ndarray: the numpy kernel behind ``phi``, also used
+    by the no-tape fused path.  Floored at the smallest positive double so
+    the output stays strictly positive where exp underflows."""
+    out = np.where(x >= 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.fmax(out, np.nextafter(0.0, 1.0))
 
 
 def phi(x) -> Tensor:
     """ELU(x) + 1, the strictly positive kernel feature map."""
     x = as_tensor(x)
-    neg = np.exp(np.minimum(x.data, 0.0))
-    out = np.where(x.data >= 0.0, x.data + 1.0, neg)
-    # keep the output strictly positive even where exp underflows
-    out = np.fmax(out, np.nextafter(0.0, 1.0))
+    out = phi_np(x.data)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * np.where(x.data >= 0.0, 1.0, neg))
+            # below zero d phi = exp(x) = out (up to the underflow floor)
+            x._accumulate(g * np.where(x.data >= 0.0, 1.0, out), owned=True)
 
     return _make(out, "phi", (x,), backward)
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function on an ndarray without overflow in exp; the numpy
+    kernel behind ``sigmoid``."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_np(x.data)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * out * (1.0 - out))
+            x._accumulate(g * out * (1.0 - out), owned=True)
 
     return _make(out, "sigmoid", (x,), backward)
 
@@ -329,15 +360,16 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(x) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     x = as_tensor(x)
-    inner = _GELU_C * (x.data + 0.044715 * x.data ** 3)
+    x2 = x.data * x.data
+    inner = _GELU_C * (x.data + 0.044715 * (x2 * x.data))
     t = np.tanh(inner)
     out = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
         if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
             dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * dinner
-            x._accumulate(g * dx)
+            x._accumulate(g * dx, owned=True)
 
     return _make(out, "gelu", (x,), backward)
 
@@ -348,7 +380,7 @@ def tabs(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * np.sign(x.data))
+            x._accumulate(g * np.sign(x.data), owned=True)
 
     return _make(out, "abs", (x,), backward)
 
@@ -359,7 +391,7 @@ def sqrt(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * 0.5 / out)
+            x._accumulate(g * 0.5 / out, owned=True)
 
     return _make(out, "sqrt", (x,), backward)
 
@@ -447,6 +479,6 @@ def gather_last(x, index: np.ndarray) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, (Ellipsis, idx), g)
-            x._accumulate(gx)
+            x._accumulate(gx, owned=True)
 
     return _make(out, "gather", (x,), backward)

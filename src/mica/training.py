@@ -169,14 +169,20 @@ def eval_windows(panel: PanelDataset, input_size: int, horizon: int,
 
 # -- training loop ------------------------------------------------------------------
 
-def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
-             batch: int = 64) -> tuple[float, float]:
-    """MAE and RMSE over windows, computed without the tape."""
+def predict(model: ForecastModel, ctx: np.ndarray,
+            batch: int = 64) -> np.ndarray:
+    """Forecasts for every window, in batches, without the tape."""
     preds = []
     with no_grad():
         for i in range(0, len(ctx), batch):
             preds.append(model.forward(ctx[i:i + batch]).data)
-    pred = np.concatenate(preds, axis=0)
+    return np.concatenate(preds, axis=0)
+
+
+def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
+             batch: int = 64) -> tuple[float, float]:
+    """MAE and RMSE over windows, computed without the tape."""
+    pred = predict(model, ctx, batch)
     return mae(tgt, pred), rmse(tgt, pred)
 
 

@@ -322,6 +322,30 @@ def test_fused_forward_matches_reference_all_block_sizes():
             npt.assert_allclose(got, want, atol=1e-12)
 
 
+def test_fused_forward_rejects_gate_channel_mismatch():
+    rng = np.random.default_rng(21)
+    q, k, v = rand_qkv(rng, b=1, c=5, n=2, p=4, dk=4, dv=3)
+    with pytest.raises(ShapeError):
+        fused_forward(q.data, k.data, v.data, np.zeros((1, 3, 2, 1, 1)), 2, 2)
+    for slots in (1, 5):
+        beta = rng.normal(size=(1, slots, 2, 1, 1))
+        npt.assert_allclose(fused_forward(q.data, k.data, v.data, beta, 2, 2),
+                            reference_mixed(q, k, v, beta), atol=1e-12)
+
+
+def test_fused_forward_keeps_phi_floor_where_exp_underflows():
+    # phi(-800) underflows exp; the tape floors it at the smallest positive
+    # double, so with eps = 0 the global read is a ratio of equal tiny sums
+    q = Tensor(np.zeros((1, 2, 1, 3, 2)))
+    k = Tensor(np.full((1, 2, 1, 3, 2), -800.0))
+    v = Tensor(np.ones((1, 2, 1, 3, 2)))
+    beta = np.zeros((1, 1, 1, 1, 1))
+    want = reference_mixed(q, k, v, beta, eps=0.0)
+    npt.assert_allclose(want, 1.0, atol=0)
+    got = fused_forward(q.data, k.data, v.data, beta, 2, 2, eps=0.0)
+    npt.assert_allclose(got, want, atol=0)
+
+
 def test_online_softmax_running_max_monotone():
     rng = np.random.default_rng(19)
     m = np.full((1, 1, 2), -np.inf)

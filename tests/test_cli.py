@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mica import bench
+from mica.backbone import ForecastModel
 from mica.bench import blas_threads, set_blas_threads
 from mica.cli import main, parse_config, model_config_from
 from mica.data import ConfigError, gen_leadlag, write_csv
@@ -176,6 +177,26 @@ def test_eval_checks_digest_and_writes_outputs(workspace, capsys):
                  "--out", str(tmp / "e2")])
     assert code == 3
     assert "does not match" in capsys.readouterr().err
+
+
+def test_eval_runs_each_split_through_the_model_once(workspace,
+                                                    monkeypatch):
+    tmp, conf = workspace
+    out = tmp / "train_out"
+    assert main(["train", "--config", str(conf), "--out", str(out)]) == 0
+    batches = []
+    forward = ForecastModel.forward
+
+    def counted(self, x, *args, **kwargs):
+        batches.append(len(x))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(ForecastModel, "forward", counted)
+    assert main(["eval", "--config", str(conf),
+                 "--params", str(out / "params_seed1.bin"),
+                 "--out", str(tmp / "eval_out")]) == 0
+    # test and val windows each fit one B=64 batch: one forward per split
+    assert len(batches) == 2 and max(batches) <= 64
 
 
 # -- bench / flops -------------------------------------------------------------------------

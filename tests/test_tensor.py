@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica.tensor import (NonFiniteError, ShapeError, Tensor, concat, div,
-                         finite_checks, gather_last, gelu, matmul, no_grad,
-                         phi, sigmoid, softmax_lastdim, sqrt, tabs)
+from mica.tensor import (NonFiniteError, ShapeError, Tensor, _unbroadcast,
+                         concat, div, finite_checks, gather_last, gelu,
+                         matmul, no_grad, phi, sigmoid, softmax_lastdim, sqrt,
+                         tabs)
 
 
 def test_softmax_known_values():
@@ -65,6 +66,76 @@ def test_matmul_batch_broadcast_backward():
                           np.ones((2, 3, 2, 4, 6))).sum(axis=1, keepdims=True)
     npt.assert_allclose(b.grad, gb_manual, atol=1e-12)
     assert a.grad.shape == a.shape
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_matmul_nd_by_2d_matches_batched_unbroadcast(view):
+    # the gradients of activation @ weight are flattened 2-D GEMMs; they
+    # must equal the batched products followed by a broadcast sum
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(3, 4, 5, 6))
+    if view:
+        x = x.swapaxes(1, 2)                 # (3,5,4,6), not contiguous
+    w = rng.normal(size=(6, 7))
+    g = rng.normal(size=x.shape[:-1] + (7,))
+    a = Tensor(x, requires_grad=True)
+    b = Tensor(w, requires_grad=True)
+    out = a @ b
+    npt.assert_allclose(out.data, np.matmul(x, w), rtol=1e-12, atol=1e-12)
+    (out * Tensor(g)).sum().backward()
+    npt.assert_allclose(a.grad, np.matmul(g, w.T), rtol=1e-12, atol=1e-12)
+    gb = _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), w.shape)
+    npt.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-12)
+
+
+def test_first_gradient_owns_its_buffer():
+    # the first gradient of an add/sub pass-through, a shape op, a concat
+    # split or a sum's broadcast is a view of the upstream gradient; it is
+    # stored as a copy so later in-place accumulation writes nowhere else
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    o = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    for y in (x + o, x - o, x.reshape(3, 2), x.swapaxes(0, 1),
+              concat([x, o], axis=0), x.sum(axis=0, keepdims=True)):
+        x.zero_grad()
+        o.zero_grad()
+        (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+        grads = [t.grad for t in (x, o, y) if t.grad is not None]
+        for i, gi in enumerate(grads):
+            assert not any(np.shares_memory(gi, gj) for gj in grads[i + 1:])
+
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    (x + x).sum().backward()
+    npt.assert_allclose(x.grad, [2.0, 2.0, 2.0], atol=0)
+
+    # two backward() calls without zero_grad accumulate into separate buffers
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    ((a + b) * 3.0).sum().backward()
+    assert a.grad is not b.grad
+    ((a - b).reshape(3, 2).swapaxes(0, 1) * 2.0).sum().backward()
+    assert a.grad is not b.grad
+    npt.assert_allclose(a.grad, np.full((2, 3), 5.0), atol=0)
+    npt.assert_allclose(b.grad, np.full((2, 3), 1.0), atol=0)
+    for t in (x, a, b):
+        assert t.grad.shape == t.shape and t.grad.flags.writeable
+
+
+def test_gelu_matches_pow_cube_formula():
+    # x*x*x and x**3 may differ by an ulp; 1 + tanh cancels for x < -3 and
+    # amplifies that in relative terms where gelu is ~1e-5, so the bound
+    # carries an absolute part of the same size
+    x = np.linspace(-10.0, 10.0, 20001)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * x ** 3))
+    want = 0.5 * x * (1.0 + t)
+    dwant = (0.5 * (1.0 + t)
+             + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x ** 2))
+    xt = Tensor(x, requires_grad=True)
+    out = gelu(xt)
+    out.sum().backward()
+    npt.assert_allclose(out.data, want, rtol=1e-15, atol=1e-15)
+    npt.assert_allclose(xt.grad, dwant, rtol=1e-15, atol=1e-15)
 
 
 def test_add_broadcast_backward():
