@@ -25,7 +25,7 @@ import numpy as np
 
 from .backbone import ForecastModel, ModelConfig, patch_count, patchify, \
     sincos_table, standardize
-from .tensor import no_grad
+from .tensor import layer_norm_np, no_grad
 
 MECHANISMS = ("baseline", "mica", "concat")
 
@@ -189,13 +189,6 @@ def _gelu_np(x):
                                     * (x + 0.044715 * x * x * x)))
 
 
-def _ln_np(x, gain, shift, eps=1e-5):
-    m = x.mean(axis=-1, keepdims=True)
-    xc = x - m
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gain + shift
-
-
 class ConcatForward:
     """Numpy forward of the backbone with one softmax attention over all
     C*P tokens; the O((PC)^2) reference the compressed path is measured
@@ -264,10 +257,10 @@ class ConcatForward:
         for lay in self.layers:
             self._current = lay
             attn = self._attend(h) @ lay["wo"][0] + lay["wo"][1]
-            h = _ln_np(h + attn, lay["g1"], lay["b1"])
+            h = layer_norm_np(h + attn, lay["g1"], lay["b1"], 1e-5)
             ffn = _gelu_np(h @ lay["up"][0] + lay["up"][1])
             ffn = ffn @ lay["down"][0] + lay["down"][1]
-            h = _ln_np(h + ffn, lay["g2"], lay["b2"])
+            h = layer_norm_np(h + ffn, lay["g2"], lay["b2"], 1e-5)
         flat = h.reshape(b, c, p * d)
         pred = flat @ self.head[0] + self.head[1]
         return pred * stats.std + stats.mean

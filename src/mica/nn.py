@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gelu, sqrt
+from .tensor import Tensor, gelu, layer_norm
 
 
 class Module:
@@ -90,11 +90,7 @@ class LayerNorm(Module):
         self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        m = x.mean(axis=-1, keepdims=True)
-        centered = x - m
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / sqrt(var + self._eps)
-        return normed * self.gain + self.shift
+        return layer_norm(x, self.gain, self.shift, self._eps)
 
 
 class FeedForward(Module):

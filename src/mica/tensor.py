@@ -4,8 +4,9 @@ Every op records a backward closure on a tape; calling ``backward()`` on a
 scalar walks the tape in reverse topological order and accumulates gradients
 into ``.grad`` buffers.  The op vocabulary is deliberately small: matmul,
 elementwise arithmetic with broadcasting, softmax over the last axis, the
-positive feature map phi(x) = ELU(x) + 1, sigmoid, gelu, reductions, and
-shape ops (reshape / swapaxes / concat / gather).
+positive feature map phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over
+the last axis, reductions, and shape ops (reshape / swapaxes / concat /
+gather).
 """
 from __future__ import annotations
 
@@ -76,7 +77,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 ndarray plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
+                 "_borrowed")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
@@ -85,6 +87,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
+        self._borrowed = False
 
     # -- introspection -----------------------------------------------------
     @property
@@ -113,20 +116,43 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``.grad``.  A first gradient is taken as is when
-        ``owned`` (built fresh by the backward closure), else copied: it may
-        alias an upstream gradient or a read-only broadcast view, which a
-        later in-place add must not write through."""
-        if self.grad is not None:
-            self.grad += g
-        elif owned:
-            self.grad = np.asarray(g)     # a 0-d product is a numpy scalar
+        """Add ``g`` into ``.grad``.
+
+        ``owned`` means the backward closure built ``g`` fresh; otherwise
+        it may be a view of an upstream gradient or a read-only broadcast.
+        A leaf (no ``_backward``) takes an owned first gradient as is and
+        copies any other, so parameters and inputs always own a writable
+        ``.grad``.  An interior node borrows its first gradient whatever
+        it is, and never writes into a borrowed one: a later contribution
+        replaces it with an owned sum, built in the incoming array when
+        that is owned and full-shape.  Owned grads accumulate in place.
+        """
+        if self.grad is None:
+            self._borrowed = not owned and self._backward is not None
+            if owned or self._borrowed:
+                self.grad = np.asarray(g)     # a 0-d product is a numpy scalar
+            else:
+                self.grad = np.empty_like(self.data)
+                self.grad[...] = g
+        elif self._borrowed:
+            if owned and g.shape == self.data.shape:
+                g += self.grad
+                self.grad = g
+            else:
+                self.grad = self.grad + g
+            self._borrowed = False
         else:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into ``.grad`` buffers."""
+        """Backpropagate from a scalar; accumulates into ``.grad`` buffers.
+
+        Interior grads are reset first, so each call propagates only its
+        own seed; leaf grads keep accumulating until ``zero_grad``.  Every
+        interior node receives all its contributions before its closure
+        lends views of its grad to its parents, and the next call rebinds
+        rather than mutates that grad, so a lent buffer is never written.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar, got shape {self.shape}")
@@ -145,6 +171,9 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        for node in topo:
+            if node._backward is not None:
+                node.grad = None
         self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -352,6 +381,52 @@ def sigmoid(x) -> Tensor:
             x._accumulate(g * out * (1.0 - out), owned=True)
 
     return _make(out, "sigmoid", (x,), backward)
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / std over the last axis, and std; means are sums times
+    1/n, as ``tmean`` computes them."""
+    inv_n = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + eps)
+    return centered / std, std
+
+
+def layer_norm_np(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
+                  eps: float) -> np.ndarray:
+    """Layer norm over the last axis on ndarrays: the numpy kernel behind
+    ``layer_norm``, also used by the no-tape concat reference."""
+    return _normalize(x, eps)[0] * gain + shift
+
+
+def layer_norm(x, gain, shift, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale
+    by ``gain`` and add ``shift`` (both of shape ``(x.shape[-1],)``)."""
+    x, gain, shift = as_tensor(x), as_tensor(gain), as_tensor(shift)
+    if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+        raise ShapeError(f"layer_norm over {x.shape} needs gain and shift "
+                         f"of shape {x.shape[-1:]}, got {gain.shape} and "
+                         f"{shift.shape}")
+    normed, std = _normalize(x.data, eps)
+    out = normed * gain.data + shift.data
+
+    def backward(g):
+        if x.requires_grad:
+            # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
+            gh = g * gain.data
+            inv_n = 1.0 / x.shape[-1]
+            dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
+            gh *= normed
+            dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
+            dx /= std
+            x._accumulate(dx, owned=True)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.shape))
+
+    return _make(out, "layer_norm", (x, gain, shift), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -3,8 +3,8 @@ import pytest
 
 from mica.gradcheck import gradcheck
 from mica.nn import LayerNorm, Linear, Module
-from mica.tensor import (Tensor, concat, gather_last, gelu, phi, sigmoid,
-                         softmax_lastdim, sqrt, tabs)
+from mica.tensor import (Tensor, concat, gather_last, gelu, layer_norm, phi,
+                         sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_gradcheck_passes_composite_expression():
@@ -36,6 +36,8 @@ def test_gradcheck_every_op_in_vocabulary():
     rng = np.random.default_rng(11)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    gain = Tensor(rng.normal(size=6), requires_grad=True)
+    shift = Tensor(rng.normal(size=6), requires_grad=True)
     idx = np.array([0, 2, 2])
 
     def f():
@@ -44,9 +46,10 @@ def test_gradcheck_every_op_in_vocabulary():
         mix = concat([gelu(m), tabs(g)], axis=-1)
         z = mix.swapaxes(0, 1).reshape(2, 6)
         denom = sqrt((z * z).mean(axis=-1, keepdims=True) + 0.5)
+        z = layer_norm(z, gain, shift, 1e-5)
         return (softmax_lastdim(z / denom) * phi(z) + sigmoid(z)).sum()
 
-    report = gradcheck(f, {"a": a, "b": b})
+    report = gradcheck(f, {"a": a, "b": b, "gain": gain, "shift": shift})
     assert report.passed, report.per_input
 
 

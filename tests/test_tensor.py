@@ -6,8 +6,8 @@ import pytest
 
 from mica.tensor import (NonFiniteError, ShapeError, Tensor, _unbroadcast,
                          concat, div, finite_checks, gather_last, gelu,
-                         matmul, no_grad, phi, sigmoid, softmax_lastdim, sqrt,
-                         tabs)
+                         layer_norm, layer_norm_np, matmul, no_grad, phi,
+                         sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_softmax_known_values():
@@ -119,6 +119,76 @@ def test_first_gradient_owns_its_buffer():
     npt.assert_allclose(b.grad, np.full((2, 3), 1.0), atol=0)
     for t in (x, a, b):
         assert t.grad.shape == t.shape and t.grad.flags.writeable
+
+
+def test_second_backward_propagates_only_its_own_seed():
+    # interior grads are reset per call; only leaves keep accumulating
+    x = Tensor(np.ones(3), requires_grad=True)
+    s = (x * 2.0).sum()
+    s.backward()
+    s.backward()
+    npt.assert_allclose(x.grad, np.full(3, 4.0), atol=0)
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = x * 3.0
+    h.sum().backward()
+    (h * 2.0).sum().backward()
+    npt.assert_allclose(x.grad, np.full(3, 9.0), atol=0)
+    npt.assert_allclose(h.grad, np.full(3, 2.0), atol=0)
+
+
+def test_borrowed_gradient_is_never_written():
+    # s = a + b lends one upstream buffer to both a and b.  b = a * y runs
+    # its closure first and sends a its second contribution before reading
+    # that buffer again for y's gradient, so a write into a's borrowed
+    # grad would show in y.grad
+    rng = np.random.default_rng(4)
+    w, v = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    a = x * 2.0
+    b = a * y
+    s = a + b
+    (s * Tensor(w)).sum().backward()
+    npt.assert_array_equal(x.grad, 2.0 * (w * y.data + w))
+    npt.assert_array_equal(y.grad, w * (2.0 * x.data))
+    npt.assert_array_equal(b.grad, w)
+    npt.assert_array_equal(s.grad, w)
+
+    # a sum's read-only broadcast lent as a first gradient, then added to
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    a = x * 2.0
+    (a.sum() + (a * Tensor(v)).sum()).backward()
+    npt.assert_array_equal(x.grad, 2.0 * (v + 1.0))
+
+
+def _layer_norm_composed(x, gain, shift, eps):
+    m = x.mean(axis=-1, keepdims=True)
+    centered = x - m
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / sqrt(var + eps) * gain + shift
+
+
+def test_layer_norm_matches_composed_ops():
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=(2, 3, 5, 8)) * 3.0 + 1e3
+    gs, ss = rng.normal(size=8), rng.normal(size=8)
+    w = Tensor(rng.normal(size=xs.shape))
+    grads = []
+    for op in (layer_norm, _layer_norm_composed):
+        x, gain, shift = (Tensor(a.copy(), requires_grad=True)
+                          for a in (xs, gs, ss))
+        out = op(x, gain, shift, 1e-5)
+        (out * w).sum().backward()
+        grads.append((out.data, x.grad, gain.grad, shift.grad))
+    (out, *got), (want_out, *want) = grads
+    npt.assert_allclose(out, want_out, rtol=0, atol=0)
+    npt.assert_allclose(layer_norm_np(xs, gs, ss, 1e-5), want_out,
+                        rtol=0, atol=0)
+    for g, gw in zip(got, want):
+        npt.assert_allclose(g, gw, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(xs), Tensor(np.ones(5)), Tensor(np.zeros(8)), 1e-5)
 
 
 def test_gelu_matches_pow_cube_formula():
