@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .nn import Linear, Module, dropout
-from .tensor import (ShapeError, Tensor, concat, gelu, phi, phi_np, sigmoid,
-                     sigmoid_np, softmax_lastdim)
+from .tensor import (ShapeError, Tensor, _make, _unbroadcast, as_tensor,
+                     concat, gelu, phi_grad, phi_np, sigmoid, sigmoid_np,
+                     softmax_np)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -93,14 +94,58 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product softmax attention within each channel."""
+    """Scaled dot-product softmax attention within each channel, as one op."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query dim {q.shape[-1]} != key dim {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("key and value patch counts differ")
     scale = 1.0 / np.sqrt(k.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    return softmax_lastdim(scores) @ v
+    scores = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    scores *= scale
+    attn = softmax_np(scores)
+    out = np.matmul(attn, v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            gv = np.matmul(attn.swapaxes(-1, -2), g)
+            v._accumulate(_unbroadcast(gv, v.shape), owned=True)
+        if q.requires_grad or k.requires_grad:
+            # d scores = attn * (d attn - sum(d attn * attn)) * scale
+            gs = np.matmul(g, v.data.swapaxes(-1, -2))
+            gs -= (gs * attn).sum(axis=-1, keepdims=True)
+            gs *= attn
+            gs *= scale
+            if q.requires_grad:
+                q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape),
+                              owned=True)
+            if k.requires_grad:
+                gk = np.matmul(gs.swapaxes(-1, -2), q.data)
+                k._accumulate(_unbroadcast(gk, k.shape), owned=True)
+
+    return _make(out, "local_attention", (q, k, v), backward)
+
+
+def global_memory_np(pk: np.ndarray, v: np.ndarray,
+                     weights: np.ndarray | None = None,
+                     exclusion: bool = False):
+    """The memory written by phi(K) = ``pk`` and V, on ndarrays: the numpy
+    kernel behind ``global_memory``, also used by ``fused_forward``.
+
+    Returns (M, z, own_m, own_z): the memory and key-sum normalizer as
+    ``global_memory`` describes them, and each channel's unweighted write
+    phi(K)^T V and sum_p phi(K)^T, which its backward needs.
+    """
+    own_m = np.matmul(pk.swapaxes(-1, -2), v)        # (B,C,N,d_k,d_v)
+    own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
+    wm, wz = own_m, own_z
+    if weights is not None:
+        wm, wz = own_m * weights, own_z * weights
+    m = wm.sum(axis=1, keepdims=True)                # (B,1,N,d_k,d_v)
+    z = wz.sum(axis=1, keepdims=True)
+    if exclusion:
+        m, z = m - wm, z - wz
+    return m, z, own_m, own_z
 
 
 def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
@@ -112,35 +157,106 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
     itself.  Optional per-channel weights (broadcastable to (B,C,N,1,1))
     rescale each channel's contribution; exclusion removes the weighted
     own term so the decomposition M_excl(c) + w_c * own(c) = M_all holds
-    in every weight mode.
+    in every weight mode.  M and z are two tape ops sharing one phi(K).
     """
-    pk = phi(k)                                      # (B,C,N,P,d_k)
-    own_m = pk.swapaxes(-1, -2) @ v                  # (B,C,N,d_k,d_v)
-    own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
-    if weights is not None:
-        own_m = own_m * weights
-        own_z = own_z * weights
-    m_all = own_m.sum(axis=1, keepdims=True)         # (B,1,N,d_k,d_v)
-    z_all = own_z.sum(axis=1, keepdims=True)
-    if exclusion:
-        return m_all - own_m, z_all - own_z
-    return m_all, z_all
+    k, v = as_tensor(k), as_tensor(v)
+    w = None if weights is None else as_tensor(weights)
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"keys {k.shape} and values {v.shape} differ "
+                         "before the head dimension")
+    pk = phi_np(k.data)                              # (B,C,N,P,d_k)
+    m, z, own_m, own_z = global_memory_np(
+        pk, v.data, None if w is None else w.data, exclusion)
+
+    def own_grad(g, own):
+        """Gradient of one channel's unweighted write from that of M or z;
+        adds the weights' share on the way."""
+        if exclusion:
+            g = g.sum(axis=1, keepdims=True) - g
+        if w is None:
+            return g
+        if w.requires_grad:
+            gw = (g * own).sum(axis=(-2, -1), keepdims=True)
+            w._accumulate(_unbroadcast(gw, w.shape), owned=True)
+        return g * w.data
+
+    def backward_m(g):
+        g = own_grad(g, own_m)                       # (B,1|C,N,d_k,d_v)
+        if v.requires_grad:
+            v._accumulate(np.matmul(pk, g), owned=True)
+        if k.requires_grad:
+            gk = np.matmul(v.data, g.swapaxes(-1, -2))
+            gk *= phi_grad(pk)
+            k._accumulate(gk, owned=True)
+
+    def backward_z(g):
+        g = own_grad(g, own_z)                       # (B,1|C,N,d_k,1)
+        if k.requires_grad:
+            k._accumulate(g.swapaxes(-1, -2) * phi_grad(pk), owned=True)
+
+    extra = () if w is None else (w,)
+    return (_make(m, "global_memory", (k, v) + extra, backward_m),
+            _make(z, "global_memory", (k,) + extra, backward_z))
+
+
+def global_attention_np(pq: np.ndarray, memory: np.ndarray, z: np.ndarray,
+                        eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read the memory with phi(Q) = ``pq`` on ndarrays: the numpy kernel
+    behind ``global_attention``, also used by ``fused_forward``.  Returns
+    the read and its denominator phi(Q) z + eps."""
+    den = np.matmul(pq, z)
+    den += eps
+    return np.matmul(pq, memory) / den, den
 
 
 def global_attention(q: Tensor, memory: Tensor, z: Tensor,
                      eps: float = 1e-6) -> Tensor:
     """Read the compressed memory with phi(Q); linear in channel count."""
+    q, memory, z = as_tensor(q), as_tensor(memory), as_tensor(z)
     if q.shape[-1] != memory.shape[-2]:
         raise ShapeError(
             f"query dim {q.shape[-1]} cannot address memory with "
             f"d_k={memory.shape[-2]}")
-    pq = phi(q)                                      # (B,C,N,P,d_k)
-    return (pq @ memory) / ((pq @ z) + eps)
+    pq = phi_np(q.data)                              # (B,C,N,P,d_k)
+    out, den = global_attention_np(pq, memory.data, z.data, eps)
+
+    def backward(g):
+        gn = g / den                                 # d numerator
+        gd = (gn * out).sum(axis=-1, keepdims=True)  # minus d denominator
+        if q.requires_grad:
+            gq = np.matmul(gn, memory.data.swapaxes(-1, -2))
+            gq -= gd * z.data.swapaxes(-1, -2)
+            gq *= phi_grad(pq)
+            q._accumulate(gq, owned=True)
+        pq_t = pq.swapaxes(-1, -2)
+        if memory.requires_grad:
+            memory._accumulate(
+                _unbroadcast(np.matmul(pq_t, gn), memory.shape), owned=True)
+        if z.requires_grad:
+            gz = np.matmul(pq_t, gd)
+            np.negative(gz, out=gz)
+            z._accumulate(_unbroadcast(gz, z.shape), owned=True)
+
+    return _make(out, "global_attention", (q, memory, z), backward)
 
 
 def mix(a_local: Tensor, a_global: Tensor, gate_weight) -> Tensor:
-    """Convex head-wise blend: g * global + (1 - g) * local."""
-    return gate_weight * a_global + (1.0 - gate_weight) * a_local
+    """Convex head-wise blend: g * global + (1 - g) * local, as one op."""
+    al, ag, gw = as_tensor(a_local), as_tensor(a_global), as_tensor(gate_weight)
+    out = gw.data * ag.data
+    out += (1.0 - gw.data) * al.data
+
+    def backward(g):
+        if ag.requires_grad:
+            ag._accumulate(_unbroadcast(g * gw.data, ag.shape), owned=True)
+        if al.requires_grad:
+            al._accumulate(_unbroadcast(g * (1.0 - gw.data), al.shape),
+                           owned=True)
+        if gw.requires_grad:
+            gg = g * (ag.data - al.data)
+            gw._accumulate(_unbroadcast(gg, gw.shape), owned=True)
+
+    return _make(out, "mix", (al, ag, gw), backward)
 
 
 def center_beta(beta: np.ndarray, head_axis: int = 2) -> np.ndarray:
@@ -320,7 +436,8 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                   eps: float = 1e-6) -> np.ndarray:
     """Two-pass fused evaluation of the mixed attention output.
 
-    Pass 1 accumulates the channel-compressed memory; pass 2 streams each
+    Pass 1 writes the channel-compressed memory and reads it with phi(Q),
+    through the same kernels as the tape ops; pass 2 streams each
     channel's local attention in (block_rows x block_cols) score tiles with
     an online softmax, then blends with the global read using sigmoid(beta).
     Pure numpy, O(block_rows * block_cols) score storage per tile.
@@ -338,12 +455,8 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
             f"gate holds {beta.shape[1]} channel slots but input has {c}")
     scale = 1.0 / np.sqrt(d_k)
 
-    memory = np.zeros((b, n, d_k, d_v))
-    z = np.zeros((b, n, d_k))
-    for ci in range(c):
-        pk = phi_np(k[:, ci])                        # (B,N,P,d_k)
-        memory += np.matmul(pk.swapaxes(-1, -2), v[:, ci])
-        z += pk.sum(axis=-2)
+    memory, z = global_memory_np(phi_np(k), v)[:2]
+    glob = global_attention_np(phi_np(q), memory, z, eps)[0]
 
     gate = np.broadcast_to(sigmoid_np(beta), (1, c, n, 1, 1))
     out = np.empty((b, c, n, p, d_v))
@@ -363,7 +476,5 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                 m, l, acc = online_softmax_update(m, l, acc, s,
                                                   vc[:, :, j0:j1])
             local[:, :, i0:i1] = acc / l[..., None]
-        pq = phi_np(qc)
-        glob = np.matmul(pq, memory) / (np.matmul(pq, z[..., None]) + eps)
-        out[:, ci] = gate[:, ci] * glob + (1.0 - gate[:, ci]) * local
+        out[:, ci] = gate[:, ci] * glob[:, ci] + (1.0 - gate[:, ci]) * local
     return out

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gelu, layer_norm
+from .tensor import Tensor, gelu, layer_norm, matmul
 
 
 class Module:
@@ -75,10 +75,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

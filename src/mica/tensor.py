@@ -2,11 +2,14 @@
 
 Every op records a backward closure on a tape; calling ``backward()`` on a
 scalar walks the tape in reverse topological order and accumulates gradients
-into ``.grad`` buffers.  The op vocabulary is deliberately small: matmul,
-elementwise arithmetic with broadcasting, softmax over the last axis, the
-positive feature map phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over
-the last axis, reductions, and shape ops (reshape / swapaxes / concat /
-gather).
+into ``.grad`` buffers.  The op vocabulary is deliberately small: matmul
+(with an optional bias, so x @ W + b is one op), elementwise arithmetic
+with broadcasting, softmax over the last axis, the positive feature map
+phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over the last axis,
+reductions, and shape ops (reshape / swapaxes / concat / gather).  The
+attention block's four pieces (local attention, the global memory, its
+read, and the gate mix) are ops of their own in ``attention.py``, built
+with ``_make`` like the ones here.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ def finite_checks(enabled: bool):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _STATE.finite_checks and not np.all(np.isfinite(arr)):
+    if _STATE.finite_checks and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -289,7 +292,9 @@ def div(a, b) -> Tensor:
     return _make(out, "div", (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` of shape (n,) when b is an (m, n) weight:
+    an affine map is one op."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
@@ -297,7 +302,16 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if b.ndim != 2 or bias.shape != b.shape[1:]:
+            raise ShapeError(f"a bias needs a 2-D weight and shape "
+                             f"{b.shape[-1:]}, got {b.shape} and {bias.shape}")
+        parents += (bias,)
     out = np.matmul(a.data, b.data)
+    if bias is not None:
+        out += bias.data
 
     def backward(g):
         if b.ndim == 2:
@@ -309,6 +323,8 @@ def matmul(a, b) -> Tensor:
             if b.requires_grad:
                 a2 = a.data.reshape(-1, a.shape[-1])
                 b._accumulate(a2.T @ g2, owned=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.shape), owned=True)
             return
         if a.requires_grad:
             ga = np.matmul(g, b.data.swapaxes(-1, -2))
@@ -317,19 +333,26 @@ def matmul(a, b) -> Tensor:
             gb = np.matmul(a.data.swapaxes(-1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
-    return _make(out, "matmul", (a, b), backward)
+    return _make(out, "matmul", parents, backward)
 
 
 # -- nonlinearities ----------------------------------------------------------
+
+def softmax_np(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis of an ndarray: the
+    numpy kernel behind ``softmax_lastdim`` and ``local_attention``."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
 
 def softmax_lastdim(x) -> Tensor:
     """Numerically stable softmax over the last axis."""
     x = as_tensor(x)
     if x.shape[-1] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_np(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -340,12 +363,24 @@ def softmax_lastdim(x) -> Tensor:
     return _make(out, "softmax", (x,), backward)
 
 
+_TINY = np.nextafter(0.0, 1.0)
+
+
 def phi_np(x: np.ndarray) -> np.ndarray:
-    """ELU(x) + 1 on an ndarray: the numpy kernel behind ``phi``, also used
-    by the no-tape fused path.  Floored at the smallest positive double so
-    the output stays strictly positive where exp underflows."""
-    out = np.where(x >= 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-    return np.fmax(out, np.nextafter(0.0, 1.0))
+    """ELU(x) + 1 on an ndarray, as exp(min(x, 0)) + max(x, 0): the numpy
+    kernel behind ``phi`` and the attention ops.  Floored at the smallest
+    positive double so the output stays strictly positive where exp
+    underflows; a NaN input stays NaN."""
+    out = np.minimum(x, 0.0, out=np.empty(np.shape(x)))
+    np.exp(out, out=out)
+    out += np.maximum(x, 0.0)
+    return np.maximum(out, _TINY, out=out)
+
+
+def phi_grad(out: np.ndarray) -> np.ndarray:
+    """d phi / dx from phi's output: 1 above zero, exp(x) = out below it
+    (up to the underflow floor)."""
+    return np.minimum(out, 1.0)
 
 
 def phi(x) -> Tensor:
@@ -355,8 +390,7 @@ def phi(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            # below zero d phi = exp(x) = out (up to the underflow floor)
-            x._accumulate(g * np.where(x.data >= 0.0, 1.0, out), owned=True)
+            x._accumulate(g * phi_grad(out), owned=True)
 
     return _make(out, "phi", (x,), backward)
 
@@ -433,20 +467,42 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation).
+
+    Forward and backward each work in place on two buffers.  They give
+    the same bits as 0.5 * x * (1 + t) with t = tanh(c * (x + 0.044715 *
+    x^3)), and as its derivative written the same way: halving 1 + t or
+    1 - t*t (0 or at least 2^-53) is exact, so 0.5 may move across x."""
     x = as_tensor(x)
-    x2 = x.data * x.data
-    inner = _GELU_C * (x.data + 0.044715 * (x2 * x.data))
-    t = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + t)
+    xd = np.atleast_1d(x.data)     # 0-d products are scalars, not buffers
+    x2 = xd * xd
+    t = x2 * xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= 0.5
+    out *= xd
 
     def backward(g):
         if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-            dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * dinner
-            x._accumulate(g * dx, owned=True)
+            # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3*0.044715*x2)
+            dx = t * t
+            np.subtract(1.0, dx, out=dx)
+            dx *= 0.5
+            dx *= xd
+            tmp = x2 * (3 * 0.044715)
+            tmp += 1.0
+            tmp *= _GELU_C
+            dx *= tmp
+            np.add(t, 1.0, out=tmp)
+            tmp *= 0.5
+            dx += tmp
+            dx *= g
+            x._accumulate(dx.reshape(x.shape), owned=True)
 
-    return _make(out, "gelu", (x,), backward)
+    return _make(out.reshape(x.shape), "gelu", (x,), backward)
 
 
 def tabs(x) -> Tensor:

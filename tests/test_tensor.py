@@ -6,8 +6,8 @@ import pytest
 
 from mica.tensor import (NonFiniteError, ShapeError, Tensor, _unbroadcast,
                          concat, div, finite_checks, gather_last, gelu,
-                         layer_norm, layer_norm_np, matmul, no_grad, phi,
-                         sigmoid, softmax_lastdim, sqrt, tabs)
+                         layer_norm, layer_norm_np, matmul, no_grad,
+                         phi, phi_np, sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_softmax_known_values():
@@ -40,6 +40,15 @@ def test_phi_known_values_and_positivity():
     npt.assert_allclose(phi(Tensor(-1.0)).data, np.exp(-1.0), atol=1e-15)
     x = np.linspace(-800.0, 50.0, 301)
     assert np.all(phi(Tensor(x)).data > 0.0)
+
+
+def test_phi_keeps_nan_so_finite_checks_see_it():
+    # the positive floor must not turn a NaN input into 5e-324
+    assert np.isnan(phi_np(np.nan))
+    npt.assert_array_equal(phi_np(np.array([np.nan, -1e4, 0.0])),
+                           [np.nan, np.nextafter(0.0, 1.0), 1.0])
+    with pytest.raises(NonFiniteError):
+        phi(Tensor([0.0, np.nan]))
 
 
 def test_matmul_known_values():
@@ -86,6 +95,30 @@ def test_matmul_nd_by_2d_matches_batched_unbroadcast(view):
     npt.assert_allclose(a.grad, np.matmul(g, w.T), rtol=1e-12, atol=1e-12)
     gb = _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), w.shape)
     npt.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_matmul_with_bias_matches_composed_ops(view):
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(3, 4, 5, 6))
+    if view:
+        xs = xs.swapaxes(1, 2)               # (3,5,4,6), not contiguous
+    ws, bs = rng.normal(size=(6, 7)), rng.normal(size=7)
+    proj = Tensor(rng.normal(size=xs.shape[:-1] + (7,)))
+    runs = []
+    for op in (matmul, lambda x, w, b: x @ w + b):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xs, ws, bs))
+        out = op(x, w, b)
+        (out * proj).sum().backward()
+        runs.append((out.data, x.grad, w.grad, b.grad))
+    (out, *got), (want_out, *want) = runs
+    npt.assert_allclose(out, want_out, rtol=0, atol=0)
+    for g, gw in zip(got, want):
+        npt.assert_allclose(g, gw, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        matmul(Tensor(xs), Tensor(ws), Tensor(np.ones((1, 7))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(xs), Tensor(np.ones((2, 6, 7))), Tensor(bs))
 
 
 def test_first_gradient_owns_its_buffer():
@@ -206,6 +239,26 @@ def test_gelu_matches_pow_cube_formula():
     out.sum().backward()
     npt.assert_allclose(out.data, want, rtol=1e-15, atol=1e-15)
     npt.assert_allclose(xt.grad, dwant, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gelu_in_place_keeps_the_bits_of_the_plain_formula():
+    # the in-place forward and backward against the same formula written
+    # out of place, from subnormal to overflowing magnitudes
+    x = np.geomspace(1e-310, 1e300, 4001)
+    x = np.concatenate([-x, [0.0], x])
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    want = 0.5 * x * (1.0 + t)
+    g = np.random.default_rng(9).normal(size=x.shape)
+    dwant = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t)
+                 * (c * (1.0 + 3 * 0.044715 * x2)))
+    xt = Tensor(x, requires_grad=True)
+    out = gelu(xt)
+    (out * Tensor(g)).sum().backward()
+    npt.assert_array_equal(out.data, want)
+    npt.assert_array_equal(xt.grad, dwant)
 
 
 def test_add_broadcast_backward():
