@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -195,6 +196,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row: quoted only when
+    it holds a comma, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _write_forecasts(path: Path, channel_ids, tgt, pred) -> None:
+    """One row per (window, channel, horizon step), with the bytes that
+    ``_write_csv`` gives the same rows."""
+    ids = [_csv_field(cid) for cid in channel_ids]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["window", "channel", "h", "y_true",
+                                 "y_pred"])
+        fh.writelines(f"{w},{cid},{h},{t!r},{p!r}\r\n"
+                      for w, (tw, pw) in enumerate(zip(tgt.tolist(),
+                                                       pred.tolist()))
+                      for cid, tc, pc in zip(ids, tw, pw)
+                      for h, (t, p) in enumerate(zip(tc, pc), 1))
+
+
 def _report_rows(report: TrainReport):
     for step, loss in report.train_trace:
         yield ["train", step, _fmt(loss), ""]
@@ -268,14 +291,7 @@ def cmd_eval(args) -> int:
                [["val", _fmt(val_mae), _fmt(val_rmse)],
                 ["test", _fmt(test_mae), _fmt(test_rmse)]])
 
-    rows = []
-    for w in range(pred.shape[0]):
-        for ci, cid in enumerate(panel.channel_ids):
-            for h in range(mcfg.horizon):
-                rows.append([w, cid, h + 1, _fmt(tgt[w, ci, h]),
-                             _fmt(pred[w, ci, h])])
-    _write_csv(out / "forecasts.csv",
-               ["window", "channel", "h", "y_true", "y_pred"], rows)
+    _write_forecasts(out / "forecasts.csv", panel.channel_ids, tgt, pred)
     print(f"test mae={test_mae:.6f} rmse={test_rmse:.6f} "
           f"({pred.shape[0]} windows)")
     return 0

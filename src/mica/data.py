@@ -5,6 +5,12 @@ shared, evenly spaced time grid.  Chronological splits are stored as two
 boundary indices on the dataset itself so every consumer slices the same
 way: train [0, train_end), validation [train_end, val_end), test
 [val_end, T).
+
+CSV input is converted a column at a time with one ``float`` pass over its
+cells; only a column that pass rejects (NA, empty cells, ISO timestamps,
+or a bad cell) is parsed cell by cell, and errors name the physical
+``path:line`` of the first bad cell in file order.  ``write_csv`` formats
+rows with ``repr``, so a written panel loads back bit for bit.
 """
 from __future__ import annotations
 
@@ -86,18 +92,6 @@ def _parse_timestamp(text: str, path, line_no: int) -> float:
             f"{path}:{line_no}: cannot parse timestamp {text!r}") from None
 
 
-def _check_time_grid(stamps: list[float], path) -> None:
-    ts = np.asarray(stamps)
-    if len(ts) > 1:
-        deltas = np.diff(ts)
-        if np.any(deltas <= 0):
-            bad = int(np.argmax(deltas <= 0)) + 2  # +1 header, +1 next row
-            raise ConfigError(f"{path}: timestamps not strictly increasing "
-                              f"near line {bad}")
-        if not np.allclose(deltas, deltas[0], rtol=1e-9, atol=0):
-            raise ConfigError(f"{path}: timestamps are not evenly spaced")
-
-
 def _parse_value(text: str, path, line_no: int) -> float:
     text = text.strip()
     if text == "" or text.lower() in ("nan", "na"):
@@ -107,6 +101,49 @@ def _parse_value(text: str, path, line_no: int) -> float:
     except ValueError:
         raise ConfigError(
             f"{path}:{line_no}: cannot parse value {text!r}") from None
+
+
+def _parse_column(cells, parse, path, line_nos) -> np.ndarray:
+    """One column as float64: a single ``float`` pass over every cell, and
+    only if that raises, ``parse`` cell by cell (NA, empty cells, ISO
+    timestamps, or a bad cell).  Whatever ``float`` accepts, ``parse``
+    maps to the same value."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return np.array([parse(text, path, n)
+                         for text, n in zip(cells, line_nos)])
+
+
+def _parse_columns(rows, parsers, path, line_nos) -> list[np.ndarray]:
+    """The columns of ``rows``, column j through ``parsers[j]``.  A bad
+    cell is reported at the first one in file order, row by row."""
+    columns = list(zip(*rows)) or [()] * len(parsers)  # no rows: empty
+    try:
+        return [_parse_column(cells, parse, path, line_nos)
+                for cells, parse in zip(columns, parsers)]
+    except ConfigError:
+        for row, n in zip(rows, line_nos):
+            for text, parse in zip(row, parsers):
+                parse(text, path, n)
+        raise
+
+
+def _check_time_grid(stamps: np.ndarray, path, line_nos=None) -> None:
+    """Reject a grid that is not strictly increasing (naming the line of
+    the first row out of order, when rows are in file order) or not
+    evenly spaced."""
+    if len(stamps) > 1:
+        deltas = np.diff(stamps)
+        if np.any(deltas <= 0):
+            where = ""
+            if line_nos is not None:
+                first = int(np.argmax(deltas <= 0)) + 1
+                where = f" near line {line_nos[first]}"
+            raise ConfigError(f"{path}: timestamps not strictly increasing"
+                              f"{where}")
+        if not np.allclose(deltas, deltas[0], rtol=1e-9, atol=0):
+            raise ConfigError(f"{path}: timestamps are not evenly spaced")
 
 
 def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
@@ -136,61 +173,77 @@ def load_csv(path, layout: str = "wide", frequency: str = "unknown",
     ``wide``: header ``timestamp,<id>,<id>,...``, one row per time step.
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
     every channel must cover the identical time grid.
+
+    Blank lines are skipped, and errors name the physical ``path:line``.
+    Of several faults, the one on the earliest line is reported, except
+    that in the long layout every bad cell is reported before a duplicate
+    observation.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, row) for row in reader if row]
+    if len(numbered) < 2:
         raise ConfigError(f"{path}: no data rows")
-    header, body = rows[0], rows[1:]
-
+    header = numbered[0][1]
+    line_nos, body = [n for n, _ in numbered[1:]], [r for _, r in numbered[1:]]
     if layout == "wide":
         if len(header) < 2:
             raise ConfigError(f"{path}: wide layout needs a timestamp column "
                               "plus at least one channel")
-        channel_ids = [h.strip() for h in header[1:]]
-        stamps, data = [], []
-        for i, row in enumerate(body):
-            line_no = i + 2
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{line_no}: expected "
-                                  f"{len(header)} fields, got {len(row)}")
-            stamps.append(_parse_timestamp(row[0], path, line_no))
-            data.append([_parse_value(v, path, line_no) for v in row[1:]])
-        _check_time_grid(stamps, path)
-        values = np.asarray(data, dtype=np.float64).T
+        width = len(header)
     elif layout == "long":
         if len(header) != 3:
             raise ConfigError(f"{path}: long layout needs exactly "
                               "(channel_id, timestamp, value) columns")
+        width = 3
+    else:
+        raise ConfigError(f"unknown csv layout '{layout}'")
+    # the rows above the first one of the wrong width are parsed before it
+    # is reported, so a bad cell there comes first
+    ragged = next((i for i, row in enumerate(body) if len(row) != width),
+                  len(body))
+    rows, nums = body[:ragged], line_nos[:ragged]
+
+    def reject_ragged():
+        if ragged < len(body):
+            raise ConfigError(f"{path}:{line_nos[ragged]}: expected {width} "
+                              f"fields, got {len(body[ragged])}")
+
+    if layout == "wide":
+        stamps, *columns = _parse_columns(
+            rows, [_parse_timestamp] + [_parse_value] * (width - 1), path,
+            nums)
+        reject_ragged()
+        _check_time_grid(stamps, path, nums)
+        channel_ids = [h.strip() for h in header[1:]]
+        # column-major, as the rows of the file lie: numpy sums over time
+        # in a layout-dependent order, and pca_fit's bits follow it
+        values = np.array(columns, order="F")
+    else:
+        stamps, vals = _parse_columns([row[1:] for row in rows],
+                                      [_parse_timestamp, _parse_value], path,
+                                      nums)
         series: dict[str, dict[float, float]] = {}
-        for i, row in enumerate(body):
-            line_no = i + 2
-            if len(row) != 3:
-                raise ConfigError(f"{path}:{line_no}: expected 3 fields, "
-                                  f"got {len(row)}")
+        for row, ts, val, n in zip(rows, stamps.tolist(), vals.tolist(),
+                                   nums):
             cid = row[0].strip()
-            ts = _parse_timestamp(row[1], path, line_no)
-            val = _parse_value(row[2], path, line_no)
             slot = series.setdefault(cid, {})
             if ts in slot:
-                raise ConfigError(f"{path}:{line_no}: duplicate observation "
+                raise ConfigError(f"{path}:{n}: duplicate observation "
                                   f"for channel {cid!r}")
             slot[ts] = val
+        reject_ragged()
         channel_ids = sorted(series)
         grids = [tuple(sorted(series[cid])) for cid in channel_ids]
         if len(set(grids)) != 1:
             raise ConfigError(f"{path}: channels cover different time grids; "
                               "cannot assemble a dense panel")
-        stamps = list(grids[0])
-        _check_time_grid(stamps, path)
-        values = np.asarray([[series[cid][t] for t in stamps]
+        _check_time_grid(np.asarray(grids[0]), path)
+        values = np.asarray([[series[cid][t] for t in grids[0]]
                              for cid in channel_ids])
-    else:
-        raise ConfigError(f"unknown csv layout '{layout}'")
 
     values = _fill_or_reject(values, forward_fill, path)
     return PanelDataset(values=values, channel_ids=channel_ids,
@@ -198,12 +251,13 @@ def load_csv(path, layout: str = "wide", frequency: str = "unknown",
 
 
 def write_csv(panel: PanelDataset, path) -> None:
-    """Write the wide canonical form with an integer time index."""
+    """Write the wide canonical form with an integer time index.  Values
+    are written with ``repr``, so a round trip through ``load_csv`` is
+    exact; the bytes are those of ``csv.writer``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + list(panel.channel_ids))
-        for t in range(panel.n_steps):
-            writer.writerow([t] + [repr(float(v)) for v in panel.values[:, t]])
+        csv.writer(fh).writerow(["timestamp"] + list(panel.channel_ids))
+        fh.writelines(f"{t},{','.join(map(repr, row))}\r\n"
+                      for t, row in enumerate(panel.values.T.tolist()))
 
 
 # -- PCA across channels -----------------------------------------------------------

@@ -10,10 +10,20 @@ reductions, and shape ops (reshape / swapaxes / concat / gather).  The
 attention block's four pieces (local attention, the global memory, its
 read, and the gate mix) are ops of their own in ``attention.py``, built
 with ``_make`` like the ones here.
+
+A training step allocates and frees a few hundred MB of activations.  By
+default glibc hands that memory back to the kernel after every backward
+and faults it in again on the next step.  So at import, on glibc only,
+``mallopt`` raises the mmap threshold to its 32 MiB maximum and the trim
+threshold to 1 GiB.  The policy is process-wide: the process keeps its peak
+heap instead of returning it.  ``HEAP_PAGES_KEPT`` records whether it took
+effect.  Allocation changes no arithmetic.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import platform
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -38,6 +48,25 @@ class _ThreadState(threading.local):
 
 
 _STATE = _ThreadState()
+
+
+def _keep_freed_heap_pages() -> bool:
+    """Stop glibc from unmapping or trimming freed activations."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    # a quick-start step frees more than 128 MiB at once; 1 GiB leaves
+    # room for larger batches and models
+    return (mallopt(m_mmap_threshold, 32 << 20) == 1
+            and mallopt(m_trim_threshold, 1 << 30) == 1)
+
+
+HEAP_PAGES_KEPT = _keep_freed_heap_pages()
 
 
 @contextlib.contextmanager
@@ -424,7 +453,8 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     centered = x - x.sum(axis=-1, keepdims=True) * inv_n
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + eps)
-    return centered / std, std
+    centered /= std
+    return centered, std
 
 
 def layer_norm_np(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,

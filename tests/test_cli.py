@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mica import bench
+from mica import bench, cli
 from mica.backbone import ForecastModel
 from mica.bench import blas_threads, set_blas_threads
 from mica.cli import main, parse_config, model_config_from
@@ -197,6 +197,21 @@ def test_eval_runs_each_split_through_the_model_once(workspace,
                  "--out", str(tmp / "eval_out")]) == 0
     # test and val windows each fit one B=64 batch: one forward per split
     assert len(batches) == 2 and max(batches) <= 64
+
+
+def test_forecasts_bytes_match_the_per_value_writer(tmp_path):
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e16, 2.0])
+    tgt = np.resize(odd, (2, 3, 4))
+    pred = np.resize(-odd[::-1], (2, 3, 4))
+    ids = ["a,b", 'q"x', ""]
+    cli._write_forecasts(tmp_path / "new.csv", ids, tgt, pred)
+    rows = [[w, cid, h + 1, repr(float(tgt[w, ci, h])),
+             repr(float(pred[w, ci, h]))]
+            for w in range(2) for ci, cid in enumerate(ids) for h in range(4)]
+    cli._write_csv(tmp_path / "old.csv",
+                   ["window", "channel", "h", "y_true", "y_pred"], rows)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
 
 
 # -- bench / flops -------------------------------------------------------------------------

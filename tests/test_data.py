@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica.data import (ConfigError, PanelDataset, chrono_split,
+from mica.data import (ConfigError, PanelDataset, _fill_or_reject,
+                       _parse_timestamp, _parse_value, chrono_split,
                        gen_independent, gen_leadlag, load_csv, pca_apply,
                        pca_fit, pca_invert, write_csv)
 
@@ -79,6 +82,136 @@ def test_time_grid_validation(tmp_path):
     panel = load_csv(iso, frequency="h")
     assert panel.frequency == "h"
     npt.assert_allclose(panel.values[0], [1.0, 2.0, 3.0], atol=0)
+
+
+def test_errors_name_physical_lines_past_blank_rows(tmp_path):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("timestamp,a\n0,1.0\n\n1,2.0\n2,oops\n")
+    with pytest.raises(ConfigError, match=r"wide\.csv:5: cannot parse value"):
+        load_csv(wide)
+    long = tmp_path / "long.csv"
+    long.write_text("id,ts,value\na,0,1.0\n\n\na,1,oops\n")
+    with pytest.raises(ConfigError, match=r"long\.csv:5: cannot parse value"):
+        load_csv(long, layout="long")
+
+
+def test_unordered_stamps_name_the_first_row_out_of_order(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text("timestamp,x\n" + "".join(
+        f"{t},1.0\n" for t in (0, 1, 2, 1, 4)))
+    with pytest.raises(ConfigError, match="increasing near line 5$"):
+        load_csv(path)
+
+
+def test_first_bad_cell_in_file_order_is_reported(tmp_path):
+    # a column-by-column scan would meet 'late' (column a) first
+    path = tmp_path / "two.csv"
+    path.write_text("timestamp,a,b\n0,1,2\n1,2,early\n2,late,3\n3,4,5,6\n")
+    with pytest.raises(ConfigError,
+                       match=r"two\.csv:3: cannot parse value 'early'"):
+        load_csv(path)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("timestamp,a\n0,1\n1,2,3\n2,bad\n")
+    with pytest.raises(ConfigError, match=r"ragged\.csv:3: expected 2"):
+        load_csv(ragged)
+
+
+def per_cell_load(path, layout, forward_fill):
+    """The cell-by-cell loader that ``load_csv`` replaced (for files
+    without blank lines): the panel's values, or the error message."""
+    try:
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        if layout == "wide":
+            stamps, data = [], []
+            for n, row in enumerate(body, 2):
+                stamps.append(_parse_timestamp(row[0], path, n))
+                data.append([_parse_value(v, path, n) for v in row[1:]])
+            values = np.asarray(data, dtype=np.float64).T
+        else:
+            series = {}
+            for n, (cid, ts, val) in enumerate(body, 2):
+                series.setdefault(cid.strip(), {})[
+                    _parse_timestamp(ts, path, n)] = _parse_value(val, path, n)
+            ids = sorted(series)
+            values = np.asarray([[series[c][t] for t in sorted(series[c])]
+                                 for c in ids])
+        return _fill_or_reject(values, forward_fill, path)
+    except ConfigError as err:
+        return str(err)
+
+
+def outcome(path, layout, forward_fill):
+    try:
+        return load_csv(path, layout=layout, forward_fill=forward_fill).values
+    except ConfigError as err:
+        return str(err)
+
+
+def assert_same_outcome(path, layout):
+    for forward_fill in (False, True):
+        got = outcome(path, layout, forward_fill)
+        want = per_cell_load(path, layout, forward_fill)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:  # bit for bit: -0.0 is not 0.0
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+CELLS = [" 1.5 ", "nan", "NaN", "NA", "", "1_000", "inf", "-0.0", "5e-324",
+         '"2.5"', "oops"]
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("cell", CELLS, ids=repr)
+def test_bulk_parse_matches_the_per_cell_parse(tmp_path, cell, layout):
+    # column "mixed" has the cell between plain numbers, column "same"
+    # holds only it: whether float() takes it or not, one column goes
+    # through each path
+    mixed, same = ["1.0", cell, "3.0"], [cell] * 3
+    stamps = ["0", " 1", "2.0 "]
+    path = tmp_path / "cells.csv"
+    if layout == "wide":
+        path.write_text("timestamp,mixed,same\n" + "".join(
+            f"{t},{m},{s}\n" for t, m, s in zip(stamps, mixed, same)))
+    else:
+        path.write_text("id,ts,value\n" + "".join(
+            f"{cid},{t},{v}\n" for cid, col in (("mixed", mixed),
+                                                ("same", same))
+            for t, v in zip(stamps, col)))
+    assert_same_outcome(path, layout)
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("last", ["2024-01-01T02:00", "noon"])
+def test_iso_timestamps_parse_as_per_cell(tmp_path, layout, last):
+    stamps = ["2024-01-01T00:00:00", "2024-01-01 01:00", last]
+    rows = [f"{t},{v}" for t, v in zip(stamps, ["1.0", "2.0", "3.0"])]
+    header = "timestamp,x"
+    if layout == "long":
+        header, rows = "id,ts,value", ["x," + r for r in rows]
+    path = tmp_path / "iso.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    assert_same_outcome(path, layout)
+
+
+def old_write_csv(panel, path):
+    """The per-value writer that ``write_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp"] + list(panel.channel_ids))
+        for t in range(panel.n_steps):
+            writer.writerow([t] + [repr(float(v)) for v in panel.values[:, t]])
+
+
+def test_write_csv_bytes_match_the_per_value_writer(tmp_path):
+    odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e16, -1.5e-300]
+    panel = PanelDataset(values=np.array([odd, odd[::-1]]),
+                         channel_ids=["a,b", 'q"x'])
+    write_csv(panel, tmp_path / "new.csv")
+    old_write_csv(panel, tmp_path / "old.csv")
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
 
 
 def test_missing_file_mentions_path():

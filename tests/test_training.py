@@ -1,6 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+import mica
 
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
@@ -152,3 +160,56 @@ def test_train_config_validation():
         TrainConfig(seeds=())
     with pytest.raises(ConfigError):
         TrainConfig(windows_batch=0)
+
+
+QUICK_START_STEPS = """
+import resource
+import numpy as np
+from mica import (ForecastModel, MicaConfig, ModelConfig, PanelDataset,
+                  chrono_split, tensor)
+from mica.training import Adam, mae_loss, sample_windows
+
+values = np.random.default_rng(0).normal(size=(7, 4000))
+panel = chrono_split(PanelDataset(values, [f"ch{i}" for i in range(7)]),
+                     val_size=400, test_size=400)
+cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                  n_heads=4, d_k=16, d_v=16, ff_hidden=128,
+                  mica=MicaConfig(n_heads=4, d_k=16, d_v=16))
+model = ForecastModel(cfg, 7, seed=1)
+opt, rng = Adam(model.parameters()), np.random.default_rng(1)
+
+
+def step():
+    ctx, tgt = sample_windows(panel, 96, 24, 64, rng)
+    loss = mae_loss(tgt, model.forward(ctx, training=True, rng=rng))
+    model.zero_grad()
+    loss.backward()
+    opt.step(1e-3)
+
+
+faults = []
+with tensor.finite_checks(False):
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+print(tensor.HEAP_PAGES_KEPT, *faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_quick_start_steps_keep_their_heap_pages():
+    # a fresh interpreter, as a user's first run; each step frees its
+    # whole graph, and after 2 warm-up steps the next one reuses those
+    # pages instead of faulting them in again (about 43,000 minor faults
+    # per step with glibc's default thresholds)
+    env = dict(os.environ, PYTHONPATH=str(Path(mica.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", QUICK_START_STEPS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    kept, *faults = out.split()
+    assert kept == "True"
+    assert max(int(f) for f in faults[2:]) < 1000, faults
