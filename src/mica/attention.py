@@ -16,8 +16,8 @@ import numpy as np
 
 from .nn import Linear, Module, dropout
 from .tensor import (ShapeError, Tensor, _make, _unbroadcast, as_tensor,
-                     concat, gelu, phi_grad, phi_np, sigmoid, sigmoid_np,
-                     softmax_np)
+                     concat, gelu, phi_grad, phi_np, records, sigmoid,
+                     sigmoid_np, softmax_np)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -93,18 +93,44 @@ def merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(2, 3).reshape(b, c, p, n * dh)
 
 
+# query rows per score block of an untaped local attention over a long axis
+ROW_BLOCK = 1024
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
+    """softmax(q k^T * scale) @ v on ndarrays; returns it and the softmax."""
+    attn = np.matmul(q, k.swapaxes(-1, -2))
+    attn *= scale
+    softmax_np(attn, out=attn)
+    return np.matmul(attn, v), attn
+
+
 def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product softmax attention within each channel, as one op."""
+    """Scaled dot-product softmax attention within each channel, as one op.
+
+    When it records no tape and has more than ``ROW_BLOCK`` patches, it
+    attends per leading index in blocks of ``ROW_BLOCK`` query rows, so a
+    concat block at C=256 never holds its whole (300 MB) score tensor.  The
+    blocks agree with the full tensor to rounding; shorter axes use it.
+    """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query dim {q.shape[-1]} != key dim {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("key and value patch counts differ")
     scale = 1.0 / np.sqrt(k.shape[-1])
-    scores = np.matmul(q.data, k.data.swapaxes(-1, -2))
-    scores *= scale
-    attn = softmax_np(scores)
-    out = np.matmul(attn, v.data)
+    if q.shape[-2] > ROW_BLOCK and not records((q, k, v)):
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        qs, ks, vs = (np.broadcast_to(t.data, lead + t.shape[-2:])
+                      for t in (q, k, v))
+        out = np.empty(lead + (q.shape[-2], v.shape[-1]))
+        for idx in np.ndindex(lead):
+            for i0 in range(0, q.shape[-2], ROW_BLOCK):
+                rows = slice(i0, i0 + ROW_BLOCK)
+                out[idx][rows] = _attend(qs[idx][rows], ks[idx], vs[idx],
+                                         scale)[0]
+        return _make(out, "local_attention", (q, k, v), None)
+    out, attn = _attend(q.data, k.data, v.data, scale)
 
     def backward(g):
         if v.requires_grad:
@@ -394,11 +420,14 @@ class MicaAttention(Module):
 
 
 class LocalAttention(Module):
-    """Baseline block: the local softmax path only."""
+    """Baseline block: the local softmax path only.  A ``concat`` block
+    attends over all C*P tokens at once, the quadratic reference: (B,C,P,d)
+    is flattened to (B,1,C*P,d), so ``a_local`` is (B,1,N,C*P,d_v)."""
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, d_v: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, concat: bool = False):
         self._n_heads = n_heads
+        self._concat = concat
         self.w_q = Linear(d_model, n_heads * d_k, rng)
         self.w_k = Linear(d_model, n_heads * d_k, rng)
         self.w_v = Linear(d_model, n_heads * d_v, rng)
@@ -406,11 +435,16 @@ class LocalAttention(Module):
 
     def __call__(self, x: Tensor, mix_override=None, training: bool = False,
                  rng=None) -> AttentionOutput:
+        shape = x.shape
+        if self._concat:
+            x = x.reshape(shape[0], 1, shape[1] * shape[2], shape[3])
         q = split_heads(self.w_q(x), self._n_heads)
         k = split_heads(self.w_k(x), self._n_heads)
         v = split_heads(self.w_v(x), self._n_heads)
         a_local = local_attention(q, k, v)
         out = self.w_out(merge_heads(a_local))
+        if self._concat:
+            out = out.reshape(*shape)
         return AttentionOutput(a_local, None, a_local, None, out)
 
 

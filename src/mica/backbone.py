@@ -3,9 +3,10 @@
 Pipeline per window: instance-standardize each channel, slice into patches
 (end-padded by replicating the last value), embed patches, add fixed
 sin/cos positional encodings, run the encoder stack (channels stay
-separate except inside the global attention path), flatten patch states,
-and project to the horizon.  Predictions are de-standardized back to the
-original units, so losses and metrics are in data units.
+separate except inside the global attention path or a concat block),
+flatten patch states, and project to the horizon.  Predictions are
+de-standardized back to the original units, so losses and metrics are in
+data units.
 """
 from __future__ import annotations
 
@@ -170,11 +171,19 @@ class MultivariateHead(Module):
 
 
 class ForecastModel(Module):
-    """Channel-separate patch transformer with an optional global path."""
+    """Channel-separate patch transformer with an optional global path.
 
-    def __init__(self, cfg: ModelConfig, n_channels: int, seed: int = 0):
+    ``concat=True`` (needs ``cfg.mica=None``) builds concat blocks, the
+    quadratic reference; not being a config field, it is not in the digest.
+    """
+
+    def __init__(self, cfg: ModelConfig, n_channels: int, seed: int = 0,
+                 concat: bool = False):
         if n_channels < 1:
             raise ValueError("n_channels must be positive")
+        if concat and cfg.mica is not None:
+            raise ValueError("concat attention replaces the mica block; "
+                             "build it with cfg.mica = None")
         rng = np.random.default_rng(seed)
         self._cfg = cfg
         self._n_channels = n_channels
@@ -188,7 +197,7 @@ class ForecastModel(Module):
         for i in range(cfg.n_layers):
             if cfg.mica is None:
                 blocks.append(LocalAttention(cfg.d_model, cfg.n_heads,
-                                             cfg.d_k, cfg.d_v, rng))
+                                             cfg.d_k, cfg.d_v, rng, concat))
                 continue
             if cfg.mica.layerwise or i == 0:
                 self.gates.append(make_gate(cfg.mica, rng, n_channels))

@@ -7,25 +7,26 @@ k; a softmax row of width n is 5n (max, shift, exp, sum, divide);
 a layer-norm row of width n is 5n + 4.  Only ratios and growth rates
 matter, so activations are deliberately flat-rate.
 
-Mechanisms:
+Mechanisms, each timed as a no-grad ``ForecastModel`` forward:
   ``baseline``  channel-separate local softmax attention only
   ``mica``      baseline plus the channel-compressed global path and gate
   ``concat``    one softmax attention over all C*P tokens (the quadratic
-                reference the compressed path replaces)
+                reference the compressed path replaces): the baseline
+                model built with ``concat=True``, whose blocks attend over
+                the flattened token axis; same parameters as ``baseline``
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import ForecastModel, ModelConfig, patch_count, patchify, \
-    sincos_table, standardize
-from .tensor import layer_norm_np, no_grad
+from .backbone import ForecastModel, ModelConfig, patch_count
+from .tensor import no_grad
 
 MECHANISMS = ("baseline", "mica", "concat")
 
@@ -160,14 +161,9 @@ def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
 
     if mechanism == "mica":
         m = cfg.mica
-        if m.gate == "shared_beta":
-            total += n
-        elif m.gate == "layerwise_beta":
-            total += n * lyr
-        elif m.gate == "channelwise_beta":
-            total += n * c
-        elif m.gate == "layerwise_channelwise_beta":
-            total += n * lyr * c
+        if m.gate not in ("mlp", "mlp_query"):
+            total += (n * (lyr if m.layerwise else 1)
+                      * (c if m.channelwise else 1))
         else:
             in_dim = 2 * n * dv + (n * m.d_q if m.gate == "mlp_query" else 0)
             h = m.mlp_hidden
@@ -180,90 +176,6 @@ def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
         elif m.weight_mode == "dynamic":
             total += lyr * (m.d_q + 1)
     return total
-
-
-# -- quadratic reference forward ------------------------------------------------
-
-def _gelu_np(x):
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
-                                    * (x + 0.044715 * x * x * x)))
-
-
-class ConcatForward:
-    """Numpy forward of the backbone with one softmax attention over all
-    C*P tokens; the O((PC)^2) reference the compressed path is measured
-    against.  Scores are computed in row blocks per head to bound memory."""
-
-    def __init__(self, cfg: ModelConfig, n_channels: int, seed: int = 0,
-                 row_block: int = 1024):
-        rng = np.random.default_rng(seed)
-        self.cfg = cfg
-        self.n_channels = n_channels
-        self.row_block = row_block
-        self.n_patches = patch_count(cfg.input_size, cfg.patch_len,
-                                     cfg.stride)
-        d, n, dk, dv, ff = (cfg.d_model, cfg.n_heads, cfg.d_k, cfg.d_v,
-                            cfg.ff_hidden)
-
-        def lin(n_in, n_out):
-            lim = np.sqrt(6.0 / (n_in + n_out))
-            return (rng.uniform(-lim, lim, size=(n_in, n_out)),
-                    np.zeros(n_out))
-
-        self.embed = lin(cfg.patch_len, d)
-        self.pos = sincos_table(self.n_patches, d)
-        self.layers = []
-        for _ in range(cfg.n_layers):
-            self.layers.append(dict(
-                wq=lin(d, n * dk), wk=lin(d, n * dk), wv=lin(d, n * dv),
-                wo=lin(n * dv, d), up=lin(d, ff), down=lin(ff, d),
-                g1=np.ones(d), b1=np.zeros(d),
-                g2=np.ones(d), b2=np.zeros(d)))
-        self.head = lin(self.n_patches * d, cfg.horizon)
-
-    def _attend(self, x):
-        """x: (B, T, d) -> (B, T, N*dv) with full token-token softmax."""
-        cfg = self.cfg
-        n, dk, dv = cfg.n_heads, cfg.d_k, cfg.d_v
-        b, t, _ = x.shape
-        lay = self._current
-        q = (x @ lay["wq"][0] + lay["wq"][1]).reshape(b, t, n, dk)
-        k = (x @ lay["wk"][0] + lay["wk"][1]).reshape(b, t, n, dk)
-        v = (x @ lay["wv"][0] + lay["wv"][1]).reshape(b, t, n, dv)
-        scale = 1.0 / np.sqrt(dk)
-        out = np.empty((b, t, n, dv))
-        for ni in range(n):
-            qn = q[:, :, ni] * scale
-            kn_t = k[:, :, ni].swapaxes(-1, -2)
-            vn = v[:, :, ni]
-            for i0 in range(0, t, self.row_block):
-                i1 = min(i0 + self.row_block, t)
-                s = np.matmul(qn[:, i0:i1], kn_t)
-                s -= s.max(axis=-1, keepdims=True)
-                np.exp(s, out=s)
-                s /= s.sum(axis=-1, keepdims=True)
-                out[:, i0:i1, ni] = np.matmul(s, vn)
-        return out.reshape(b, t, n * dv)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        y = np.asarray(y, dtype=np.float64)
-        b, c, _ = y.shape
-        y_std, stats = standardize(y)
-        tokens = patchify(y_std, cfg.patch_len, cfg.stride)
-        h = tokens @ self.embed[0] + self.embed[1] + self.pos
-        p, d = self.n_patches, cfg.d_model
-        h = h.reshape(b, c * p, d)
-        for lay in self.layers:
-            self._current = lay
-            attn = self._attend(h) @ lay["wo"][0] + lay["wo"][1]
-            h = layer_norm_np(h + attn, lay["g1"], lay["b1"], 1e-5)
-            ffn = _gelu_np(h @ lay["up"][0] + lay["up"][1])
-            ffn = ffn @ lay["down"][0] + lay["down"][1]
-            h = layer_norm_np(h + ffn, lay["g2"], lay["b2"], 1e-5)
-        flat = h.reshape(b, c, p * d)
-        pred = flat @ self.head[0] + self.head[1]
-        return pred * stats.std + stats.mean
 
 
 # -- timing -----------------------------------------------------------------------
@@ -410,23 +322,18 @@ class BenchRow:
 
 def _forward_fn(cfg: ModelConfig, n_channels: int, mechanism: str,
                 seed: int = 0):
+    """A callable that runs one no-grad forward of ``mechanism``'s model on
+    a fixed single window and returns the forecast."""
     rng = np.random.default_rng(seed + 1)
     window = rng.normal(size=(1, n_channels, cfg.input_size))
-    if mechanism == "concat":
-        runner = ConcatForward(cfg, n_channels, seed=seed)
-        return lambda: runner(window)
-    model_cfg = cfg if mechanism == "mica" else ModelConfig(
-        **{**_cfg_dict(cfg), "mica": None})
-    model = ForecastModel(model_cfg, n_channels, seed=seed)
+    model_cfg = cfg if mechanism == "mica" else replace(cfg, mica=None)
+    model = ForecastModel(model_cfg, n_channels, seed=seed,
+                          concat=mechanism == "concat")
 
     def run():
         with no_grad():
-            model.forward(window)
+            return model.forward(window).data
     return run
-
-
-def _cfg_dict(cfg: ModelConfig) -> dict:
-    return {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
 
 
 def sweep_channels(cfg: ModelConfig, grid, mechanisms=MECHANISMS,
@@ -455,14 +362,9 @@ def sweep_lengths(cfg: ModelConfig, grid, mechanisms=MECHANISMS,
     rows = []
     for mech in mechanisms:
         for length in grid:
-            sized = ModelConfig(**{**_cfg_dict(cfg), "input_size": length})
-            rep = count_flops(sized, n_channels, mech)
-            params = count_params(sized, n_channels, mech)
-            lat = None
-            if measure:
-                lat = measure_latency(
-                    _forward_fn(sized, n_channels, mech, seed),
-                    repeats=repeats, warmup=warmup)
-            rows.append(BenchRow(mechanism=mech, size=length, flops=rep,
-                                 params=params, latency=lat))
+            (row,) = sweep_channels(replace(cfg, input_size=length),
+                                    [n_channels], (mech,), measure, repeats,
+                                    warmup, seed)
+            row.size = length
+            rows.append(row)
     return rows

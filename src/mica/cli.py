@@ -20,7 +20,7 @@ import numpy as np
 from .attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
 from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
                        ModelConfig, config_digest, load_params, save_params)
-from .bench import (MECHANISMS, fit_scaling, set_blas_threads,
+from .bench import (MECHANISMS, count_flops, count_params, fit_scaling,
                     sweep_channels, sweep_lengths)
 from .data import ConfigError, PanelDataset, chrono_split, load_csv
 from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
@@ -90,7 +90,6 @@ SCHEMA: dict[str, tuple] = {
                     "seed list, e.g. 1..5 or 1,7,13"),
     "data.path": (str, None, "dataset csv path"),
     "data.layout": (str, "wide", "csv layout: wide | long"),
-    "data.frequency": (str, "unknown", "sampling frequency tag"),
     "data.forward_fill": (_parse_bool, False, "forward-fill missing values"),
     "data.val_size": (int, None, "validation split length (steps)"),
     "data.test_size": (int, None, "test split length (steps)"),
@@ -178,7 +177,6 @@ def train_config_from(conf: dict) -> TrainConfig:
 def load_panel(conf: dict) -> PanelDataset:
     _require(conf, "data.path", "data.val_size", "data.test_size")
     panel = load_csv(conf["data.path"], layout=conf["data.layout"],
-                     frequency=conf["data.frequency"],
                      forward_fill=conf["data.forward_fill"])
     return chrono_split(panel, conf["data.val_size"], conf["data.test_size"])
 
@@ -355,7 +353,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    from .bench import count_flops, count_params
     conf = parse_config(args.config)
     mcfg = model_config_from(conf)
     c = conf["bench.channels"]
@@ -423,18 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_flops.add_argument("--config", required=True)
     p_flops.add_argument("--out", default=None)
     p_flops.set_defaults(fn=cmd_flops)
-
-    for p in (p_train, p_eval, p_bench, p_flops):
-        p.add_argument("--threads", type=int, default=None,
-                       help="set numpy's BLAS thread pool (timing forces 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None:
-            set_blas_threads(args.threads)
         return args.fn(args)
     except IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)

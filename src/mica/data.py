@@ -8,9 +8,10 @@ way: train [0, train_end), validation [train_end, val_end), test
 
 CSV input is converted a column at a time with one ``float`` pass over its
 cells; only a column that pass rejects (NA, empty cells, ISO timestamps,
-or a bad cell) is parsed cell by cell, and errors name the physical
-``path:line`` of the first bad cell in file order.  ``write_csv`` formats
-rows with ``repr``, so a written panel loads back bit for bit.
+or a bad cell), or leaves non-finite, is parsed cell by cell, and errors
+name the physical ``path:line`` of the first bad cell in file order.
+``write_csv`` formats rows with ``repr``, so a written panel loads back
+bit for bit.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ class ConfigError(ValueError):
 class PanelDataset:
     values: np.ndarray            # (C, T)
     channel_ids: list[str]
-    frequency: str = "unknown"
     train_end: int | None = None  # split boundaries; set by chrono_split
     val_end: int | None = None
 
@@ -82,14 +82,17 @@ def chrono_split(panel: PanelDataset, val_size: int,
 
 def _parse_timestamp(text: str, path, line_no: int) -> float:
     try:
-        return float(text)
+        stamp = float(text)
     except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text).timestamp()
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{line_no}: cannot parse timestamp {text!r}") from None
+        try:
+            stamp = datetime.fromisoformat(text).timestamp()
+        except ValueError:
+            raise ConfigError(f"{path}:{line_no}: cannot parse timestamp "
+                              f"{text!r}") from None
+    if not np.isfinite(stamp):
+        raise ConfigError(f"{path}:{line_no}: timestamp {text!r} is not "
+                          "finite")
+    return stamp
 
 
 def _parse_value(text: str, path, line_no: int) -> float:
@@ -105,14 +108,17 @@ def _parse_value(text: str, path, line_no: int) -> float:
 
 def _parse_column(cells, parse, path, line_nos) -> np.ndarray:
     """One column as float64: a single ``float`` pass over every cell, and
-    only if that raises, ``parse`` cell by cell (NA, empty cells, ISO
-    timestamps, or a bad cell).  Whatever ``float`` accepts, ``parse``
-    maps to the same value."""
+    only if that raises or leaves a non-finite value, ``parse`` cell by
+    cell (NA, empty cells, ISO timestamps, a non-finite timestamp, or a
+    bad cell).  Whatever ``float`` accepts, ``parse`` maps to the same
+    value or rejects."""
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
+        column = np.fromiter(map(float, cells), np.float64, len(cells))
+        if np.isfinite(column).all():
+            return column
     except ValueError:
-        return np.array([parse(text, path, n)
-                         for text, n in zip(cells, line_nos)])
+        pass
+    return np.array([parse(text, path, n) for text, n in zip(cells, line_nos)])
 
 
 def _parse_columns(rows, parsers, path, line_nos) -> list[np.ndarray]:
@@ -166,13 +172,14 @@ def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
     return values
 
 
-def load_csv(path, layout: str = "wide", frequency: str = "unknown",
+def load_csv(path, layout: str = "wide",
              forward_fill: bool = False) -> PanelDataset:
     """Read a panel from CSV.
 
     ``wide``: header ``timestamp,<id>,<id>,...``, one row per time step.
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
-    every channel must cover the identical time grid.
+    every channel must cover the identical time grid.  Timestamps are
+    numbers or ISO dates, and must be finite.
 
     Blank lines are skipped, and errors name the physical ``path:line``.
     Of several faults, the one on the earliest line is reported, except
@@ -246,8 +253,7 @@ def load_csv(path, layout: str = "wide", frequency: str = "unknown",
                              for cid in channel_ids])
 
     values = _fill_or_reject(values, forward_fill, path)
-    return PanelDataset(values=values, channel_ids=channel_ids,
-                        frequency=frequency)
+    return PanelDataset(values=values, channel_ids=channel_ids)
 
 
 def write_csv(panel: PanelDataset, path) -> None:
@@ -340,7 +346,7 @@ def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
         if noise_sigma > 0:
             values[c] += rng.normal(0.0, noise_sigma, size=n_steps)
     ids = [f"ch{c}" for c in range(n_channels)]
-    return PanelDataset(values=values, channel_ids=ids, frequency="synthetic")
+    return PanelDataset(values=values, channel_ids=ids)
 
 
 def gen_independent(n_channels: int, n_steps: int, seed: int,
@@ -355,4 +361,4 @@ def gen_independent(n_channels: int, n_steps: int, seed: int,
         series = _ar1(rng.normal(0.0, 1.0, size=n_steps + burn), ar_coeff)
         values[c] = series[burn:]
     ids = [f"ch{c}" for c in range(n_channels)]
-    return PanelDataset(values=values, channel_ids=ids, frequency="synthetic")
+    return PanelDataset(values=values, channel_ids=ids)

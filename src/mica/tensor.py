@@ -9,7 +9,9 @@ phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over the last axis,
 reductions, and shape ops (reshape / swapaxes / concat / gather).  The
 attention block's four pieces (local attention, the global memory, its
 read, and the gate mix) are ops of their own in ``attention.py``, built
-with ``_make`` like the ones here.
+with ``_make`` like the ones here.  Every op computes its forward with the
+same numpy kernels (``softmax_np``, ``phi_np``, ...) whether or not it is
+taped; ``records`` tells an op whether it will be.
 
 A training step allocates and frees a few hundred MB of activations.  By
 default glibc hands that memory back to the kernel after every backward
@@ -257,10 +259,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` is recorded on the tape."""
+    return _STATE.grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
-          backward: Callable) -> Tensor:
+          backward: Callable | None) -> Tensor:
     _check_finite(data, op)
-    if _STATE.grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         return Tensor(data, requires_grad=True,
                       _parents=tuple(parents), _backward=backward)
     return Tensor(data)
@@ -367,10 +374,11 @@ def matmul(a, b, bias=None) -> Tensor:
 
 # -- nonlinearities ----------------------------------------------------------
 
-def softmax_np(x: np.ndarray) -> np.ndarray:
+def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax over the last axis of an ndarray: the
-    numpy kernel behind ``softmax_lastdim`` and ``local_attention``."""
-    e = x - x.max(axis=-1, keepdims=True)
+    numpy kernel behind ``softmax_lastdim`` and ``local_attention``.
+    ``out=x`` works in place, with the same bits."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -446,24 +454,6 @@ def sigmoid(x) -> Tensor:
     return _make(out, "sigmoid", (x,), backward)
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x - mean) / std over the last axis, and std; means are sums times
-    1/n, as ``tmean`` computes them."""
-    inv_n = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + eps)
-    centered /= std
-    return centered, std
-
-
-def layer_norm_np(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
-                  eps: float) -> np.ndarray:
-    """Layer norm over the last axis on ndarrays: the numpy kernel behind
-    ``layer_norm``, also used by the no-tape concat reference."""
-    return _normalize(x, eps)[0] * gain + shift
-
-
 def layer_norm(x, gain, shift, eps: float) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
     by ``gain`` and add ``shift`` (both of shape ``(x.shape[-1],)``)."""
@@ -472,14 +462,18 @@ def layer_norm(x, gain, shift, eps: float) -> Tensor:
         raise ShapeError(f"layer_norm over {x.shape} needs gain and shift "
                          f"of shape {x.shape[-1:]}, got {gain.shape} and "
                          f"{shift.shape}")
-    normed, std = _normalize(x.data, eps)
+    # means are sums times 1/n, as ``tmean`` computes them
+    inv_n = 1.0 / x.shape[-1]
+    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * inv_n
+                  + eps)
+    normed /= std
     out = normed * gain.data + shift.data
 
     def backward(g):
         if x.requires_grad:
             # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
             gh = g * gain.data
-            inv_n = 1.0 / x.shape[-1]
             dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
             gh *= normed
             dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)

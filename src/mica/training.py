@@ -216,6 +216,8 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
             model.zero_grad()
             loss.backward()
             opt.step(lr_at(step, cfg))
+            # the graph and its interior grads must not outlive the step
+            del pred, loss
             steps_run = step + 1
             train_trace.append((steps_run, loss_val))
 

@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica.attention import (AttentionOutput, BetaGate, LocalAttention,
-                            MicaAttention, MicaConfig, MlpGate, center_beta,
-                            fused_forward, global_attention, global_memory,
-                            local_attention, merge_heads, mix,
-                            online_softmax_update, split_heads)
-from mica.tensor import ShapeError, Tensor
+from mica import attention
+from mica.attention import (ROW_BLOCK, AttentionOutput, BetaGate,
+                            LocalAttention, MicaAttention, MicaConfig,
+                            MlpGate, center_beta, fused_forward,
+                            global_attention, global_memory, local_attention,
+                            merge_heads, mix, online_softmax_update,
+                            split_heads)
+from mica.tensor import ShapeError, Tensor, no_grad, softmax_np
 
 
 # -- brute-force oracles (independent loops, no library math) ----------------
@@ -76,6 +78,30 @@ def test_local_attention_matches_oracle():
         q, k, v = rand_qkv(rng)
         npt.assert_allclose(local_attention(q, k, v).data,
                             oracle_local(q.data, k.data, v.data), atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [ROW_BLOCK, 1500])
+def test_untaped_local_attention_matches_the_tape(p, monkeypatch):
+    # past ROW_BLOCK patches the untaped op computes its scores in row
+    # blocks; up to it, it runs the taped arithmetic itself
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.normal(size=(1, 1, 2, p, 16)) for _ in range(3))
+    taped = local_attention(*(Tensor(a, requires_grad=True)
+                              for a in (q, k, v)))
+    assert taped.requires_grad
+    scores = []
+    monkeypatch.setattr(attention, "softmax_np",
+                        lambda x, out=None: scores.append(x.shape)
+                        or softmax_np(x, out))
+    with no_grad():
+        fast = local_attention(q, k, v)
+    assert not fast.requires_grad
+    if p <= ROW_BLOCK:
+        assert scores == [(1, 1, 2, p, p)]
+    else:  # per head, one full block of rows and the rest
+        assert scores == [(ROW_BLOCK, p), (p - ROW_BLOCK, p)] * 2
+    npt.assert_allclose(fast.data, taped.data, rtol=0,
+                        atol=0 if p <= ROW_BLOCK else 1e-12)
 
 
 def test_local_attention_identical_keys_averages_values():

@@ -7,7 +7,7 @@ from mica.backbone import (ForecastModel, IntegrityError, ModelConfig,
                            config_digest, destandardize, load_params,
                            patch_count, patch_indices, patchify, save_params,
                            sincos_table, standardize)
-from mica.tensor import ShapeError, Tensor
+from mica.tensor import ShapeError, Tensor, no_grad
 
 
 def small_cfg(**over):
@@ -177,6 +177,31 @@ def test_collect_exposes_attention_products():
     model.forward(np.zeros((1, 2, 16)), collect=grabbed)
     assert len(grabbed) == 2
     assert grabbed[0].a_global.shape == grabbed[0].a_local.shape
+
+
+def test_concat_block_mixes_channels():
+    cfg = small_cfg()
+    y = np.random.default_rng(7).normal(size=(2, 3, 16))
+    bumped = y.copy()
+    bumped[:, 1, 5] += 3.0
+    forecasts = {}
+    for concat in (False, True):
+        model = ForecastModel(cfg, n_channels=3, seed=2, concat=concat)
+        with no_grad():
+            forecasts[concat] = [model(w).data for w in (y, bumped)]
+    base, cat = forecasts[False], forecasts[True]
+    npt.assert_array_equal(base[0][:, 0], base[1][:, 0])
+    assert np.abs(cat[0][:, 0] - cat[1][:, 0]).max() > 1e-6
+    # one channel has nothing to mix in: concat is the baseline
+    with no_grad():
+        one = [ForecastModel(cfg, n_channels=1, seed=2, concat=concat)(
+            y[:, :1]).data for concat in (False, True)]
+    npt.assert_array_equal(one[0], one[1])
+
+
+def test_concat_with_mica_is_rejected():
+    with pytest.raises(ValueError, match="concat"):
+        ForecastModel(small_cfg(mica=mica_cfg()), n_channels=3, concat=True)
 
 
 # -- serialization ----------------------------------------------------------------------

@@ -4,9 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mica import bench, cli
+from mica import cli
 from mica.backbone import ForecastModel
-from mica.bench import blas_threads, set_blas_threads
 from mica.cli import main, parse_config, model_config_from
 from mica.data import ConfigError, gen_leadlag, write_csv
 
@@ -72,6 +71,17 @@ def test_parse_config_rejects_unknown_and_duplicates(tmp_path):
     conf.write_text("model.horizon = abc\n")
     with pytest.raises(ConfigError, match="bad.conf:1"):
         parse_config(conf)
+
+
+def test_removed_settings_are_rejected(tmp_path):
+    conf = tmp_path / "f.conf"
+    conf.write_text("model.horizon = 4\ndata.frequency = h\n")
+    with pytest.raises(ConfigError,
+                       match="f.conf:2: unknown key 'data.frequency'"):
+        parse_config(conf)
+    conf.write_text("model.horizon = 4\n")
+    with pytest.raises(SystemExit):
+        main(["flops", "--config", str(conf), "--threads", "1"])
 
 
 def test_model_config_from_builds_mica(tmp_path):
@@ -259,30 +269,3 @@ def test_flops_command_prints_breakdown(workspace, capsys):
                  "--out", str(tmp / "fl")]) == 0
     rows = list(csv.reader(open(tmp / "fl" / "flops.csv")))
     assert rows[0][0] == "mechanism"
-
-
-def test_threads_flag_sets_blas_pool(workspace, capsys):
-    tmp, _ = workspace
-    fl_conf = tmp / "f.conf"
-    fl_conf.write_text("model.horizon = 4\nmodel.mica = true\n")
-    previous = blas_threads()
-    try:
-        assert main(["flops", "--config", str(fl_conf),
-                     "--threads", "1"]) == 0
-        assert blas_threads() == 1
-    finally:
-        set_blas_threads(previous)
-    assert main(["flops", "--config", str(fl_conf), "--threads", "0"]) == 2
-    assert blas_threads() == previous
-
-
-def test_threads_flag_fails_without_known_blas(workspace, capsys,
-                                               monkeypatch):
-    tmp, _ = workspace
-    fl_conf = tmp / "f.conf"
-    fl_conf.write_text("model.horizon = 4\nmodel.mica = true\n")
-    monkeypatch.setattr(bench, "_openblas", lambda: None)
-    code = main(["flops", "--config", str(fl_conf), "--threads", "1"])
-    assert code == 1
-    assert "no known BLAS" in capsys.readouterr().err
-    assert main(["flops", "--config", str(fl_conf)]) == 0

@@ -79,9 +79,31 @@ def test_time_grid_validation(tmp_path):
     iso = tmp_path / "iso.csv"
     iso.write_text("timestamp,x\n2024-01-01T00:00:00,1.0\n"
                    "2024-01-01T01:00:00,2.0\n2024-01-01T02:00:00,3.0\n")
-    panel = load_csv(iso, frequency="h")
-    assert panel.frequency == "h"
+    panel = load_csv(iso)
     npt.assert_allclose(panel.values[0], [1.0, 2.0, 3.0], atol=0)
+
+
+@pytest.mark.parametrize("stamp", ["nan", " NaN", "inf", "-inf"])
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_non_finite_timestamps_name_their_line(tmp_path, layout, stamp):
+    header, prefix = (("id,ts,value", "x,") if layout == "long"
+                      else ("timestamp,x", ""))
+
+    def load(*rows):
+        path = tmp_path / "stamps.csv"
+        path.write_text("\n".join([header] + [prefix + r for r in rows])
+                        + "\n")
+        return load_csv(path, layout=layout)
+
+    for rows, line in ((("0,1", f"{stamp},2", "2,3"), 3),
+                       ((f"{stamp},1",), 2)):
+        with pytest.raises(ConfigError, match=rf"stamps\.csv:{line}: "
+                           "timestamp .* is not finite"):
+            load(*rows)
+    # a bad cell on an earlier line is still the one reported
+    with pytest.raises(ConfigError,
+                       match=r"stamps\.csv:3: cannot parse value 'oops'"):
+        load("0,1", "1,oops", f"{stamp},3")
 
 
 def test_errors_name_physical_lines_past_blank_rows(tmp_path):

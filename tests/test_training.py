@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,26 @@ def test_divergence_aborts_with_step_index():
     with pytest.raises(TrainingDivergedError) as err:
         train(model, panel, cfg, seed=1)
     assert err.value.step == 0
+
+
+def test_train_frees_each_step_before_the_next_forward():
+    # a step's graph holds its activations and interior grads; none of it
+    # may still be alive when the next step's forward allocates its own
+    model, panel = tiny_model(), tiny_panel()
+    forward, forecasts, alive = model.forward, [], []
+
+    def watched(*args, **kwargs):
+        if kwargs.get("training"):
+            alive.append([ref() is not None for ref in forecasts])
+        out = forward(*args, **kwargs)
+        if kwargs.get("training"):
+            forecasts.append(weakref.ref(out.data))
+        return out
+
+    model.forward = watched
+    train(model, panel, TrainConfig(windows_batch=4, max_steps=4,
+                                    val_check_every=2, seeds=(0,)), seed=0)
+    assert alive == [[], [False], [False] * 2, [False] * 3]
 
 
 def test_train_config_validation():
