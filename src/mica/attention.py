@@ -285,12 +285,12 @@ def mix(a_local: Tensor, a_global: Tensor, gate_weight) -> Tensor:
     return _make(out, "mix", (al, ag, gw), backward)
 
 
-def center_beta(beta: np.ndarray, head_axis: int = 2) -> np.ndarray:
-    """Remove the mean across heads so the gate starts balanced."""
+def center_beta(beta: np.ndarray) -> np.ndarray:
+    """Remove the mean across heads (axis 2) so the gate starts balanced."""
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape[head_axis] == 0:
+    if beta.shape[2] == 0:
         raise ShapeError("center_beta needs at least one head")
-    return beta - beta.mean(axis=head_axis, keepdims=True)
+    return beta - beta.mean(axis=2, keepdims=True)
 
 
 class BetaGate(Module):
@@ -352,73 +352,6 @@ def make_gate(cfg: MicaConfig, rng: np.random.Generator,
                     n_channels=n_channels if cfg.channelwise else 1)
 
 
-class MicaAttention(Module):
-    """One attention block: QKV projections, local + compressed-global
-    paths, gate, output projection.
-
-    Pass ``gate`` to share one gate object across blocks; the sharer owns
-    the parameters, this block only references them.
-    """
-
-    def __init__(self, d_model: int, cfg: MicaConfig,
-                 rng: np.random.Generator, n_channels: int | None = None,
-                 gate: Module | None = None):
-        self._cfg = cfg
-        n = cfg.n_heads
-        self.w_q = Linear(d_model, n * cfg.d_q, rng)
-        self.w_k = Linear(d_model, n * cfg.d_k, rng)
-        self.w_v = Linear(d_model, n * cfg.d_v, rng)
-        self.w_out = Linear(n * cfg.d_v, d_model, rng)
-        if cfg.weight_mode == "static":
-            if n_channels is None:
-                raise ValueError("static channel weights need n_channels")
-            self.channel_weights = Tensor(
-                np.ones((1, n_channels, 1, 1, 1)), requires_grad=True)
-        elif cfg.weight_mode == "dynamic":
-            # starts near uniform weighting (w ~= 1 for every channel)
-            self.weight_proj = Linear(cfg.d_q, 1, rng)
-            self.weight_proj.weight.data = rng.normal(
-                0.0, 1e-3, size=self.weight_proj.weight.shape)
-            self.weight_proj.bias.data[:] = 1.0
-        if gate is None:
-            if cfg.channelwise and n_channels is None:
-                raise ValueError("channelwise gate needs n_channels")
-            self.gate = make_gate(cfg, rng, n_channels or 1)
-            self._gate = self.gate
-        else:
-            self._gate = gate
-
-    def channel_weight_values(self, q: Tensor) -> Tensor | None:
-        if self._cfg.weight_mode == "static":
-            return self.channel_weights
-        if self._cfg.weight_mode == "dynamic":
-            pooled = q.sum(axis=-2, keepdims=True)   # (B,C,N,1,d_q)
-            return self.weight_proj(pooled)          # (B,C,N,1,1)
-        return None
-
-    def __call__(self, x: Tensor, mix_override: float | None = None,
-                 training: bool = False, rng=None) -> AttentionOutput:
-        cfg = self._cfg
-        q = split_heads(self.w_q(x), cfg.n_heads)
-        k = split_heads(self.w_k(x), cfg.n_heads)
-        v = split_heads(self.w_v(x), cfg.n_heads)
-        a_local = local_attention(q, k, v)
-        weights = self.channel_weight_values(q)
-        memory, z = global_memory(k, v, weights=weights,
-                                  exclusion=cfg.exclusion)
-        a_global = global_attention(q, memory, z, eps=cfg.epsilon)
-        if mix_override is not None:
-            g = Tensor(np.float64(mix_override))
-            a_mixed = mix(a_local, a_global, g)
-        else:
-            needs_q = cfg.gate == "mlp_query"
-            a_mixed, g = self._gate(a_local, a_global,
-                                    q=q if needs_q else None,
-                                    training=training, rng=rng)
-        out = self.w_out(merge_heads(a_mixed))
-        return AttentionOutput(a_local, a_global, a_mixed, g, out)
-
-
 class LocalAttention(Module):
     """Baseline block: the local softmax path only.  A ``concat`` block
     attends over all C*P tokens at once, the quadratic reference: (B,C,P,d)
@@ -433,19 +366,80 @@ class LocalAttention(Module):
         self.w_v = Linear(d_model, n_heads * d_v, rng)
         self.w_out = Linear(n_heads * d_v, d_model, rng)
 
+    def _heads(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Q, K and V of ``x``, each split into heads."""
+        return tuple(split_heads(w(x), self._n_heads)
+                     for w in (self.w_q, self.w_k, self.w_v))
+
     def __call__(self, x: Tensor, mix_override=None, training: bool = False,
                  rng=None) -> AttentionOutput:
         shape = x.shape
         if self._concat:
             x = x.reshape(shape[0], 1, shape[1] * shape[2], shape[3])
-        q = split_heads(self.w_q(x), self._n_heads)
-        k = split_heads(self.w_k(x), self._n_heads)
-        v = split_heads(self.w_v(x), self._n_heads)
-        a_local = local_attention(q, k, v)
+        a_local = local_attention(*self._heads(x))
         out = self.w_out(merge_heads(a_local))
         if self._concat:
             out = out.reshape(*shape)
         return AttentionOutput(a_local, None, a_local, None, out)
+
+
+class MicaAttention(LocalAttention):
+    """The local block plus the compressed-global path: its own parts are
+    the channel weights of the memory write, the global read and the gate
+    that blends the two paths before the shared output projection.
+
+    Pass ``gate`` to share one gate object across blocks; the sharer owns
+    the parameters, this block only references them.
+    """
+
+    def __init__(self, d_model: int, cfg: MicaConfig,
+                 rng: np.random.Generator, n_channels: int | None = None,
+                 gate: Module | None = None):
+        super().__init__(d_model, cfg.n_heads, cfg.d_k, cfg.d_v, rng)
+        self._cfg = cfg
+        if cfg.weight_mode == "static":
+            if n_channels is None:
+                raise ValueError("static channel weights need n_channels")
+            self.channel_weights = Tensor(
+                np.ones((1, n_channels, 1, 1, 1)), requires_grad=True)
+        elif cfg.weight_mode == "dynamic":
+            # starts near uniform weighting (w ~= 1 for every channel)
+            self.weight_proj = Linear(cfg.d_q, 1, rng)
+            self.weight_proj.weight.data = rng.normal(
+                0.0, 1e-3, size=self.weight_proj.weight.shape)
+            self.weight_proj.bias.data[:] = 1.0
+        if gate is None:
+            if cfg.channelwise and n_channels is None:
+                raise ValueError("channelwise gate needs n_channels")
+            gate = self.gate = make_gate(cfg, rng, n_channels or 1)
+        self._gate = gate
+
+    def channel_weight_values(self, q: Tensor) -> Tensor | None:
+        if self._cfg.weight_mode == "static":
+            return self.channel_weights
+        if self._cfg.weight_mode == "dynamic":
+            pooled = q.sum(axis=-2, keepdims=True)   # (B,C,N,1,d_q)
+            return self.weight_proj(pooled)          # (B,C,N,1,1)
+        return None
+
+    def __call__(self, x: Tensor, mix_override: float | None = None,
+                 training: bool = False, rng=None) -> AttentionOutput:
+        cfg = self._cfg
+        q, k, v = self._heads(x)
+        a_local = local_attention(q, k, v)
+        weights = self.channel_weight_values(q)
+        memory, z = global_memory(k, v, weights=weights,
+                                  exclusion=cfg.exclusion)
+        a_global = global_attention(q, memory, z, eps=cfg.epsilon)
+        if mix_override is not None:
+            g = Tensor(np.float64(mix_override))
+            a_mixed = mix(a_local, a_global, g)
+        else:
+            a_mixed, g = self._gate(a_local, a_global, training=training,
+                                    q=q if cfg.gate == "mlp_query" else None,
+                                    rng=rng)
+        out = self.w_out(merge_heads(a_mixed))
+        return AttentionOutput(a_local, a_global, a_mixed, g, out)
 
 
 # -- fused streaming evaluation (inference path, no tape) --------------------

@@ -114,12 +114,11 @@ class InstanceStats:
     std: np.ndarray   # (B,C,1)
 
 
-def standardize(y: np.ndarray,
-                floor: float = 1e-8) -> tuple[np.ndarray, InstanceStats]:
+def standardize(y: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Zero-mean unit-variance per (window, channel); std floored at 1e-8."""
     y = np.asarray(y, dtype=np.float64)
     mean = y.mean(axis=-1, keepdims=True)
-    std = np.maximum(y.std(axis=-1, keepdims=True), floor)
+    std = np.maximum(y.std(axis=-1, keepdims=True), 1e-8)
     return (y - mean) / std, InstanceStats(mean=mean, std=std)
 
 

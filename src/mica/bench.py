@@ -7,7 +7,8 @@ k; a softmax row of width n is 5n (max, shift, exp, sum, divide);
 a layer-norm row of width n is 5n + 4.  Only ratios and growth rates
 matter, so activations are deliberately flat-rate.
 
-Mechanisms, each timed as a no-grad ``ForecastModel`` forward:
+Mechanisms, each timed as a no-grad ``ForecastModel`` forward; which ones
+a config can run is decided by ``check_mechanisms``, before any work:
   ``baseline``  channel-separate local softmax attention only
   ``mica``      baseline plus the channel-compressed global path and gate
   ``concat``    one softmax attention over all C*P tokens (the quadratic
@@ -59,13 +60,28 @@ def _softmax_flops(rows: int, width: int) -> int:
     return rows * 5 * width
 
 
+def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
+    """Raise ``ValueError`` unless ``cfg`` can run each of ``mechanisms``."""
+    unknown = sorted(set(mechanisms) - set(MECHANISMS))
+    if unknown:
+        raise ValueError(f"unknown mechanisms {unknown}")
+    if "mica" in mechanisms and cfg.mica is None:
+        raise ValueError("mechanism 'mica' needs cfg.mica (model.mica = true)")
+
+
+def _gate_mlp_layers(cfg: ModelConfig) -> list[tuple[int, int]]:
+    """(in, out) of each Linear of the gate MLP of ``cfg.mica``."""
+    m = cfg.mica
+    in_dim = 2 * cfg.n_heads * cfg.d_v + (
+        cfg.n_heads * m.d_q if m.gate == "mlp_query" else 0)
+    dims = [in_dim] + [m.mlp_hidden] * (m.mlp_layers - 1) + [cfg.n_heads]
+    return list(zip(dims, dims[1:]))
+
+
 def count_flops(cfg: ModelConfig, n_channels: int,
                 mechanism: str) -> FlopReport:
     """Exact analytic FLOPs of one forward pass on a single window."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism '{mechanism}'")
-    if mechanism == "mica" and cfg.mica is None:
-        raise ValueError("mechanism 'mica' needs cfg.mica settings")
+    check_mechanisms(cfg, (mechanism,))
     c = n_channels
     p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
     d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
@@ -123,12 +139,8 @@ def count_flops(cfg: ModelConfig, n_channels: int,
 
         mix_cost = 4 * c * n * p * dv
         if m.gate in ("mlp", "mlp_query"):
-            in_dim = 2 * n * dv + (n * m.d_q if m.gate == "mlp_query" else 0)
-            h = m.mlp_hidden
-            per_token = _linear_flops(1, in_dim, h) + h
-            for _ in range(m.mlp_layers - 2):
-                per_token += _linear_flops(1, h, h) + h
-            per_token += _linear_flops(1, h, n) + n
+            per_token = sum(_linear_flops(1, a, b) + b             # + act
+                            for a, b in _gate_mlp_layers(cfg))
             gate = lyr * (tokens * per_token + mix_cost)
         else:
             n_beta = n * (c if m.channelwise else 1)
@@ -141,8 +153,7 @@ def count_flops(cfg: ModelConfig, n_channels: int,
 
 def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
     """Closed-form parameter count; must match the instantiated model."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism '{mechanism}'")
+    check_mechanisms(cfg, (mechanism,))
     c = n_channels
     p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
     d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
@@ -165,12 +176,7 @@ def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
             total += (n * (lyr if m.layerwise else 1)
                       * (c if m.channelwise else 1))
         else:
-            in_dim = 2 * n * dv + (n * m.d_q if m.gate == "mlp_query" else 0)
-            h = m.mlp_hidden
-            per_gate = in_dim * h + h
-            per_gate += (m.mlp_layers - 2) * (h * h + h)
-            per_gate += h * n + n
-            total += lyr * per_gate
+            total += lyr * sum(a * b + b for a, b in _gate_mlp_layers(cfg))
         if m.weight_mode == "static":
             total += lyr * c
         elif m.weight_mode == "dynamic":
@@ -339,7 +345,9 @@ def _forward_fn(cfg: ModelConfig, n_channels: int, mechanism: str,
 def sweep_channels(cfg: ModelConfig, grid, mechanisms=MECHANISMS,
                    measure: bool = False, repeats: int = 5, warmup: int = 1,
                    seed: int = 0) -> list[BenchRow]:
-    """Cost rows for each mechanism across a channel-count grid."""
+    """Cost rows for each mechanism across a channel-count grid; every
+    mechanism is checked before any is timed."""
+    check_mechanisms(cfg, mechanisms)
     rows = []
     for mech in mechanisms:
         for c in grid:
@@ -359,6 +367,7 @@ def sweep_lengths(cfg: ModelConfig, grid, mechanisms=MECHANISMS,
                   repeats: int = 5, warmup: int = 1,
                   seed: int = 0) -> list[BenchRow]:
     """Cost rows across input-window lengths at fixed channel count."""
+    check_mechanisms(cfg, mechanisms)
     rows = []
     for mech in mechanisms:
         for length in grid:

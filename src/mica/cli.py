@@ -2,9 +2,13 @@
 
 Run configuration is a flat ``key = value`` file with ``#`` comments and
 four sections distinguished by key prefix: ``model.``, ``train.``,
-``data.`` and ``bench.``.  Unknown keys are rejected so typos cannot be
-silently ignored.  Exit codes: 0 success, 1 runtime failure, 2 bad
-configuration or data, 3 parameter-file integrity mismatch.
+``data.`` and ``bench.``.  A ``model.<name>`` or ``train.<name>`` key
+sets the ``ModelConfig``, ``MicaConfig`` or ``TrainConfig`` field of that
+name and defaults to it.  Unknown keys are rejected so typos cannot be
+silently ignored, and so are mica-only keys while ``model.mica`` is off.
+Which mechanisms a config can bench is checked in ``bench``.  Exit codes:
+0 success, 1 runtime failure, 2 bad configuration or data, 3
+parameter-file integrity mismatch.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import csv
 import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +25,7 @@ import numpy as np
 from .attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
 from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
                        ModelConfig, config_digest, load_params, save_params)
-from .bench import (MECHANISMS, count_flops, count_params, fit_scaling,
-                    sweep_channels, sweep_lengths)
+from .bench import MECHANISMS, fit_scaling, sweep_channels, sweep_lengths
 from .data import ConfigError, PanelDataset, chrono_split, load_csv
 from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
                        predict, rmse, train)
@@ -52,57 +56,72 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-# key -> (parser, default, help); None default means "required when used"
+# key -> (parser, help) for model.* and train.* keys, which default to their
+# config-class field; key -> (parser, help, default) for data.* and bench.*
+# keys, where a MISSING default means "required when used".
 SCHEMA: dict[str, tuple] = {
-    "model.horizon": (int, None, "forecast horizon H"),
-    "model.input_size": (int, None, "input window length (default 2*H)"),
-    "model.n_layers": (int, 4, "encoder layers"),
-    "model.d_model": (int, 256, "token embedding width"),
-    "model.n_heads": (int, 4, "attention heads"),
-    "model.ff_hidden": (int, 1024, "feed-forward hidden width"),
-    "model.d_k": (int, 32, "key/query head dimension"),
-    "model.d_v": (int, 32, "value head dimension"),
-    "model.patch_len": (int, 8, "patch length"),
-    "model.stride": (int, 8, "patch stride"),
-    "model.dropout": (float, 0.0, "residual/ffn dropout"),
-    "model.head_kind": (str, "shared_linear",
-                        f"one of {', '.join(HEAD_KINDS)}"),
-    "model.mica": (_parse_bool, False,
-                   "enable the gated global attention path"),
-    "model.gate": (str, "shared_beta", f"one of {', '.join(GATE_KINDS)}"),
-    "model.mlp_hidden": (int, 128, "gate mlp hidden width"),
-    "model.mlp_layers": (int, 2, "gate mlp layer count"),
-    "model.mlp_dropout": (float, 0.0, "gate mlp dropout"),
-    "model.exclusion": (_parse_bool, False,
+    "model.horizon": (int, "forecast horizon H"),
+    "model.input_size": (int, "input window length (default 2*H)"),
+    "model.n_layers": (int, "encoder layers"),
+    "model.d_model": (int, "token embedding width"),
+    "model.n_heads": (int, "attention heads"),
+    "model.ff_hidden": (int, "feed-forward hidden width"),
+    "model.d_k": (int, "key/query head dimension"),
+    "model.d_v": (int, "value head dimension"),
+    "model.patch_len": (int, "patch length"),
+    "model.stride": (int, "patch stride"),
+    "model.dropout": (float, "residual/ffn dropout"),
+    "model.head_kind": (str, f"one of {', '.join(HEAD_KINDS)}"),
+    "model.mica": (_parse_bool, "enable the gated global attention path"),
+    "model.gate": (str, f"one of {', '.join(GATE_KINDS)}"),
+    "model.mlp_hidden": (int, "gate mlp hidden width"),
+    "model.mlp_layers": (int, "gate mlp layer count"),
+    "model.mlp_dropout": (float, "gate mlp dropout"),
+    "model.exclusion": (_parse_bool,
                         "exclude the own channel from the global memory"),
-    "model.weight_mode": (str, "uniform",
-                          f"one of {', '.join(WEIGHT_MODES)}"),
-    "model.epsilon": (float, 1e-6, "global attention denominator guard"),
-    "train.windows_batch": (int, 64, "windows per training step"),
-    "train.max_steps": (int, 12000, "maximum optimizer steps"),
-    "train.val_check_every": (int, 500, "steps between validation checks"),
-    "train.lr0": (float, 1e-3, "initial learning rate"),
-    "train.lr_decay": (float, 0.5, "multiplicative decay factor"),
-    "train.lr_step": (int, 4000, "steps between decays"),
-    "train.early_stop_patience": (int, 20,
+    "model.weight_mode": (str, f"one of {', '.join(WEIGHT_MODES)}"),
+    "model.epsilon": (float, "global attention denominator guard"),
+    "train.windows_batch": (int, "windows per training step"),
+    "train.max_steps": (int, "maximum optimizer steps"),
+    "train.val_check_every": (int, "steps between validation checks"),
+    "train.lr0": (float, "initial learning rate"),
+    "train.lr_decay": (float, "multiplicative decay factor"),
+    "train.lr_step": (int, "steps between decays"),
+    "train.early_stop_patience": (int,
                                   "validation checks without improvement"),
-    "train.seeds": (_parse_seeds, (1, 2, 3, 4, 5),
-                    "seed list, e.g. 1..5 or 1,7,13"),
-    "data.path": (str, None, "dataset csv path"),
-    "data.layout": (str, "wide", "csv layout: wide | long"),
-    "data.forward_fill": (_parse_bool, False, "forward-fill missing values"),
-    "data.val_size": (int, None, "validation split length (steps)"),
-    "data.test_size": (int, None, "test split length (steps)"),
-    "bench.sweep": (str, "C", "sweep variable: C (channels) | L (length)"),
-    "bench.grid": (_parse_int_list, (8, 16, 32, 64, 128, 256, 512),
-                   "sweep grid, comma separated"),
-    "bench.mechanisms": (_parse_str_list, MECHANISMS,
-                         f"subset of {', '.join(MECHANISMS)}"),
-    "bench.channels": (int, 7, "fixed channel count for L sweeps"),
-    "bench.measure": (_parse_bool, True, "measure wall-clock latency too"),
-    "bench.repeats": (int, 5, "timed runs per point"),
-    "bench.warmup": (int, 1, "untimed warmup runs per point"),
+    "train.seeds": (_parse_seeds, "seed list, e.g. 1..5 or 1,7,13"),
+    "data.path": (str, "dataset csv path", MISSING),
+    "data.layout": (str, "csv layout: wide | long", "wide"),
+    "data.forward_fill": (_parse_bool, "forward-fill missing values", False),
+    "data.val_size": (int, "validation split length (steps)", MISSING),
+    "data.test_size": (int, "test split length (steps)", MISSING),
+    "bench.sweep": (str, "sweep variable: C (channels) | L (length)", "C"),
+    "bench.grid": (_parse_int_list, "sweep grid, comma separated",
+                   (8, 16, 32, 64, 128, 256, 512)),
+    "bench.mechanisms": (_parse_str_list,
+                         f"subset of {', '.join(MECHANISMS)}", MECHANISMS),
+    "bench.channels": (int, "fixed channel count for L sweeps and for "
+                       "mica flops", 7),
+    "bench.measure": (_parse_bool, "measure wall-clock latency too", True),
+    "bench.repeats": (int, "timed runs per point", 5),
+    "bench.warmup": (int, "untimed warmup runs per point", 1),
 }
+
+
+_FIELD_DEFAULTS = {f"{prefix}.{f.name}": f.default
+                   for prefix, cls in (("model", MicaConfig),
+                                       ("model", ModelConfig),
+                                       ("train", TrainConfig))
+                   for f in fields(cls)}
+# model.mica is a switch: on when ModelConfig.mica holds a MicaConfig
+_FIELD_DEFAULTS["model.mica"] = _FIELD_DEFAULTS["model.mica"] is not None
+DEFAULTS = {key: entry[2] if len(entry) == 3 else _FIELD_DEFAULTS[key]
+            for key, entry in SCHEMA.items()}
+
+# settings only a mica block reads: the MicaConfig fields ModelConfig lacks
+MICA_ONLY = tuple(f"model.{f.name}" for f in fields(MicaConfig)
+                  if f"model.{f.name}" in SCHEMA
+                  and f.name not in {g.name for g in fields(ModelConfig)})
 
 
 def parse_config(path) -> dict:
@@ -110,7 +129,8 @@ def parse_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    conf = {key: default for key, (_, default, _) in SCHEMA.items()}
+    conf = {key: None if default is MISSING else default
+            for key, default in DEFAULTS.items()}
     seen: set[str] = set()
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,12 +144,15 @@ def parse_config(path) -> dict:
         if key in seen:
             raise ConfigError(f"{path}:{line_no}: duplicate key '{key}'")
         seen.add(key)
-        parser = SCHEMA[key][0]
         try:
-            conf[key] = parser(value)
+            conf[key] = SCHEMA[key][0](value)
         except ValueError as err:
             raise ConfigError(f"{path}:{line_no}: bad value for "
                               f"'{key}': {err}") from None
+    ignored = [key for key in MICA_ONLY if key in seen]
+    if ignored and not conf["model.mica"]:
+        raise ConfigError(f"{path}: {', '.join(ignored)} only apply with "
+                          "model.mica = true")
     return conf
 
 
@@ -140,38 +163,22 @@ def _require(conf: dict, *keys: str) -> None:
                           f"{', '.join(missing)}")
 
 
+def _fill(cls, conf: dict, prefix: str, **given):
+    """``cls`` with each field that has a ``<prefix>.<field>`` key taken
+    from ``conf``, except the ``given`` ones."""
+    values = {f.name: conf[f"{prefix}.{f.name}"] for f in fields(cls)
+              if f"{prefix}.{f.name}" in conf}
+    return cls(**{**values, **given})
+
+
 def model_config_from(conf: dict) -> ModelConfig:
     _require(conf, "model.horizon")
-    mica = None
-    if conf["model.mica"]:
-        mica = MicaConfig(
-            n_heads=conf["model.n_heads"], d_k=conf["model.d_k"],
-            d_v=conf["model.d_v"], gate=conf["model.gate"],
-            mlp_hidden=conf["model.mlp_hidden"],
-            mlp_layers=conf["model.mlp_layers"],
-            mlp_dropout=conf["model.mlp_dropout"],
-            exclusion=conf["model.exclusion"],
-            weight_mode=conf["model.weight_mode"],
-            epsilon=conf["model.epsilon"])
-    return ModelConfig(
-        horizon=conf["model.horizon"], input_size=conf["model.input_size"],
-        n_layers=conf["model.n_layers"], d_model=conf["model.d_model"],
-        n_heads=conf["model.n_heads"], ff_hidden=conf["model.ff_hidden"],
-        d_k=conf["model.d_k"], d_v=conf["model.d_v"],
-        patch_len=conf["model.patch_len"], stride=conf["model.stride"],
-        dropout=conf["model.dropout"], head_kind=conf["model.head_kind"],
-        mica=mica)
+    mica = _fill(MicaConfig, conf, "model") if conf["model.mica"] else None
+    return _fill(ModelConfig, conf, "model", mica=mica)
 
 
 def train_config_from(conf: dict) -> TrainConfig:
-    return TrainConfig(
-        windows_batch=conf["train.windows_batch"],
-        max_steps=conf["train.max_steps"],
-        val_check_every=conf["train.val_check_every"],
-        lr0=conf["train.lr0"], lr_decay=conf["train.lr_decay"],
-        lr_step=conf["train.lr_step"],
-        early_stop_patience=conf["train.early_stop_patience"],
-        seeds=tuple(conf["train.seeds"]))
+    return _fill(TrainConfig, conf, "train")
 
 
 def load_panel(conf: dict) -> PanelDataset:
@@ -228,13 +235,16 @@ def _report_rows(report: TrainReport):
 # -- subcommands ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    if args.parallel_seeds < 1:
+        raise ConfigError(f"--parallel-seeds must be >= 1, got "
+                          f"{args.parallel_seeds}")
     conf = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     panel = load_panel(conf)
     mcfg = model_config_from(conf)
     tcfg = train_config_from(conf)
     digest = config_digest(mcfg, panel.n_channels)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     def run_seed(seed: int) -> TrainReport:
         model = ForecastModel(mcfg, panel.n_channels, seed=seed)
@@ -267,8 +277,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     conf = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     panel = load_panel(conf)
     mcfg = model_config_from(conf)
     expected = config_digest(mcfg, panel.n_channels)
@@ -285,6 +293,8 @@ def cmd_eval(args) -> int:
     test_mae, test_rmse = mae(tgt, pred), rmse(tgt, pred)
     vctx, vtgt = eval_windows(panel, mcfg.input_size, mcfg.horizon, "val")
     val_mae, val_rmse = evaluate(model, vctx, vtgt)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "metrics.csv", ["split", "mae", "rmse"],
                [["val", _fmt(val_mae), _fmt(val_rmse)],
                 ["test", _fmt(test_mae), _fmt(test_rmse)]])
@@ -295,25 +305,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# the cost columns of bench.csv and flops.csv, after mechanism and size; the
+# first five name FlopReport attributes
+COST_COLUMNS = ["local_flops", "global_flops", "gate_flops", "backbone_flops",
+                "total_flops", "params", "latency_ms"]
+
+
 def _bench_rows_csv(rows):
     for r in rows:
-        lat = _fmt(r.latency.mean_ms) if r.latency else ""
-        yield [r.mechanism, r.size, r.flops.local_flops,
-               r.flops.global_flops, r.flops.gate_flops,
-               r.flops.backbone_flops, r.flops.total_flops, r.params, lat]
+        flops = [getattr(r.flops, col) for col in COST_COLUMNS[:5]]
+        yield [r.mechanism, r.size, *flops, r.params,
+               _fmt(r.latency.mean_ms) if r.latency else ""]
 
 
 def cmd_bench(args) -> int:
     conf = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mcfg = model_config_from(conf)
     mechanisms = conf["bench.mechanisms"]
-    unknown = set(mechanisms) - set(MECHANISMS)
-    if unknown:
-        raise ConfigError(f"unknown bench mechanisms: {sorted(unknown)}")
-    if "mica" in mechanisms and mcfg.mica is None:
-        raise ConfigError("bench includes 'mica' but model.mica = false")
     grid = list(conf["bench.grid"])
     common = dict(mechanisms=mechanisms, measure=conf["bench.measure"],
                   repeats=conf["bench.repeats"], warmup=conf["bench.warmup"])
@@ -326,27 +334,23 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bench.sweep must be C or L, "
                           f"got {conf['bench.sweep']!r}")
 
-    _write_csv(out / "bench.csv",
-               ["mechanism", "size", "local_flops", "global_flops",
-                "gate_flops", "backbone_flops", "total_flops", "params",
-                "latency_ms"], _bench_rows_csv(rows))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "bench.csv", ["mechanism", "size"] + COST_COLUMNS,
+               _bench_rows_csv(rows))
 
+    # (metric, printed name, cost of a row) for each fitted cost
+    costs = [("flops", "flop", lambda r: r.flops.total_flops)]
+    if conf["bench.measure"]:
+        costs.append(("latency", "latency", lambda r: r.latency.mean_ms))
     fit_rows = []
     for mech in mechanisms:
         pts = [r for r in rows if r.mechanism == mech]
-        sizes = [r.size for r in pts]
-        flop_fit = fit_scaling(sizes, [r.flops.total_flops for r in pts])
-        fit_rows.append([mech, "flops", _fmt(flop_fit.exponent),
-                         _fmt(flop_fit.r2)])
-        print(f"{mech}: flop exponent {flop_fit.exponent:.3f} "
-              f"(r2={flop_fit.r2:.4f})")
-        if conf["bench.measure"]:
-            lat_fit = fit_scaling(sizes,
-                                  [r.latency.mean_ms for r in pts])
-            fit_rows.append([mech, "latency", _fmt(lat_fit.exponent),
-                             _fmt(lat_fit.r2)])
-            print(f"{mech}: latency exponent {lat_fit.exponent:.3f} "
-                  f"(r2={lat_fit.r2:.4f})")
+        for metric, name, cost in costs:
+            fit = fit_scaling([r.size for r in pts], [cost(r) for r in pts])
+            fit_rows.append([mech, metric, _fmt(fit.exponent), _fmt(fit.r2)])
+            print(f"{mech}: {name} exponent {fit.exponent:.3f} "
+                  f"(r2={fit.r2:.4f})")
     _write_csv(out / "bench_fits.csv",
                ["mechanism", "metric", "exponent", "r2"], fit_rows)
     return 0
@@ -354,29 +358,20 @@ def cmd_bench(args) -> int:
 
 def cmd_flops(args) -> int:
     conf = parse_config(args.config)
-    mcfg = model_config_from(conf)
     c = conf["bench.channels"]
-    mechanisms = conf["bench.mechanisms"]
-    if "mica" in mechanisms and mcfg.mica is None:
-        raise ConfigError("flops for 'mica' need model.mica = true")
-    rows = []
-    for mech in mechanisms:
-        rep = count_flops(mcfg, c, mech)
-        params = count_params(mcfg, c, mech)
-        rows.append([mech, c, rep.local_flops, rep.global_flops,
-                     rep.gate_flops, rep.backbone_flops, rep.total_flops,
-                     params, ""])
-        print(f"{mech:9s} C={c}: total={rep.total_flops:,} "
+    rows = sweep_channels(model_config_from(conf), [c],
+                          conf["bench.mechanisms"], measure=False)
+    for r in rows:
+        rep = r.flops
+        print(f"{r.mechanism:9s} C={c}: total={rep.total_flops:,} "
               f"(local={rep.local_flops:,} global={rep.global_flops:,} "
               f"gate={rep.gate_flops:,} backbone={rep.backbone_flops:,}) "
-              f"params={params:,}")
+              f"params={r.params:,}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "flops.csv",
-                   ["mechanism", "channels", "local_flops", "global_flops",
-                    "gate_flops", "backbone_flops", "total_flops", "params",
-                    "latency_ms"], rows)
+        _write_csv(out / "flops.csv", ["mechanism", "channels"] + COST_COLUMNS,
+                   _bench_rows_csv(rows))
     return 0
 
 
@@ -384,9 +379,11 @@ def cmd_flops(args) -> int:
 
 def _schema_epilog() -> str:
     lines = ["configuration keys (key = value, # comments):"]
-    for key, (_, default, help_text) in SCHEMA.items():
-        shown = "required" if default is None else f"default {default}"
-        lines.append(f"  {key:28s} {help_text} ({shown})")
+    for key, (_, help_text, *_) in SCHEMA.items():
+        default = DEFAULTS[key]
+        shown = ("" if default is None else " (required)"
+                 if default is MISSING else f" (default {default})")
+        lines.append(f"  {key:28s} {help_text}{shown}")
     return "\n".join(lines)
 
 

@@ -276,8 +276,7 @@ class PcaTransform:
     explained_variance: np.ndarray  # (C,), descending
 
 
-def pca_fit(panel: PanelDataset | np.ndarray,
-            rank_tol: float = 1e-12) -> PcaTransform:
+def pca_fit(panel: PanelDataset | np.ndarray) -> PcaTransform:
     """Eigendecompose the channel covariance of the training slice."""
     if isinstance(panel, PanelDataset):
         end = panel.train_end if panel.train_end is not None else panel.n_steps
@@ -293,7 +292,7 @@ def pca_fit(panel: PanelDataset | np.ndarray,
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     components = eigvecs[:, order].T
-    if eigvals[0] > 0 and eigvals[-1] < rank_tol * eigvals[0]:
+    if eigvals[0] > 0 and eigvals[-1] < 1e-12 * eigvals[0]:
         warnings.warn("channel covariance is rank deficient; some PCA "
                       "components carry (numerically) zero variance")
     return PcaTransform(components=components, means=means,

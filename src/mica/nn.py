@@ -33,8 +33,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         item._collect(f"{full}.{i}.", out)
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out[f"{full}.{i}"] = item
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
@@ -67,12 +65,11 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis, Xavier-uniform weight init."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.weight = Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight, self.bias)
@@ -81,13 +78,12 @@ class Linear(Module):
 class LayerNorm(Module):
     """Normalizes the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
-        self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.shift, self._eps)
+        return layer_norm(x, self.gain, self.shift, 1e-5)
 
 
 class FeedForward(Module):

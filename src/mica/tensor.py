@@ -146,9 +146,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` into ``.grad``.
 

@@ -86,19 +86,18 @@ def mae_loss(y_true: np.ndarray, y_pred: Tensor) -> Tensor:
 # -- optimizer ------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam with bias correction; lr is supplied per step."""
+    """Standard Adam (beta1 0.9, beta2 0.999, eps 1e-8) with bias
+    correction; lr is supplied per step."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -109,7 +108,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

@@ -223,6 +223,39 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     npt.assert_array_equal(clone.forward(y).data, model.forward(y).data)
 
 
+def _linear(name, n_in, n_out):
+    return [(f"{name}.weight", (n_in, n_out)), (f"{name}.bias", (n_out,))]
+
+
+def test_parameter_names_and_shapes_are_pinned():
+    # saved parameter files are keyed by these names: a block refactor
+    # that renames or drops one would orphan every file saved before it
+    cfg = small_cfg(mica=mica_cfg(gate="mlp_query", weight_mode="dynamic"))
+    got = [(name, p.shape) for name, p in
+           ForecastModel(cfg, n_channels=3).named_parameters().items()]
+    want = _linear("embed", 4, 8)
+    for g in range(2):
+        want += _linear(f"gates.{g}.layers.0", 24, 8)
+        want += _linear(f"gates.{g}.layers.1", 8, 2)
+    for i in range(2):
+        for w in ("w_q", "w_k", "w_v", "w_out"):
+            want += _linear(f"layers.{i}.attn.{w}", 8, 8)
+        want += _linear(f"layers.{i}.attn.weight_proj", 4, 1)
+        want += [(f"layers.{i}.norm1.gain", (8,)),
+                 (f"layers.{i}.norm1.shift", (8,))]
+        want += _linear(f"layers.{i}.ffn.up", 8, 16)
+        want += _linear(f"layers.{i}.ffn.down", 16, 8)
+        want += [(f"layers.{i}.norm2.gain", (8,)),
+                 (f"layers.{i}.norm2.shift", (8,))]
+    assert got == want + _linear("head", 32, 4)
+
+    static = small_cfg(n_layers=1, mica=mica_cfg(weight_mode="static"))
+    names = list(ForecastModel(static, n_channels=3).named_parameters())
+    assert names[:12] == ["embed.weight", "embed.bias", "gates.0.beta"] + [
+        f"layers.0.attn.{w}.{t}" for w in ("w_q", "w_k", "w_v", "w_out")
+        for t in ("weight", "bias")] + ["layers.0.attn.channel_weights"]
+
+
 def test_load_params_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"definitely not params")

@@ -52,6 +52,13 @@ def test_count_params_matches_instantiated_model(kwargs, mech):
         assert count_params(cfg, c, mech) == model.n_params(), (kwargs, c)
 
 
+def test_count_params_rejects_mica_without_mica_settings():
+    with pytest.raises(ValueError, match="cfg.mica"):
+        count_params(cfg_with(mica=False), 4, "mica")
+    with pytest.raises(ValueError, match="unknown"):
+        count_params(cfg_with(), 4, "nope")
+
+
 def test_concat_params_equal_baseline():
     cfg = cfg_with(mica=False)
     assert count_params(cfg, 7, "concat") == count_params(cfg, 7, "baseline")
@@ -246,6 +253,26 @@ def test_sweep_lengths_rows():
                          n_channels=3)
     assert [r.size for r in rows] == [16, 32]
     assert rows[1].flops.total_flops > rows[0].flops.total_flops
+
+
+@pytest.mark.parametrize("sweep", ["C", "L"])
+@pytest.mark.parametrize("kwargs,mechanisms", [
+    (dict(mica=False), ("baseline", "concat", "mica")),
+    (dict(), ("baseline", "mica", "nope")),
+])
+def test_sweeps_check_every_mechanism_before_timing(monkeypatch, sweep,
+                                                    kwargs, mechanisms):
+    timed = []
+    monkeypatch.setattr(bench, "measure_latency",
+                        lambda fn, **kw: timed.append(fn))
+    cfg = cfg_with(**kwargs)
+    with pytest.raises(ValueError):
+        if sweep == "C":
+            sweep_channels(cfg, [2, 4], mechanisms, measure=True)
+        else:
+            sweep_lengths(cfg, [16, 32], mechanisms, n_channels=2,
+                          measure=True)
+    assert timed == []
 
 
 def test_sweep_with_latency_smoke():

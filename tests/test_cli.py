@@ -1,13 +1,18 @@
 import csv
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mica import cli
-from mica.backbone import ForecastModel
-from mica.cli import main, parse_config, model_config_from
+from mica.attention import MicaConfig
+from mica.backbone import ForecastModel, ModelConfig
+from mica.bench import count_flops, count_params
+from mica.cli import (main, model_config_from, parse_config,
+                      train_config_from)
 from mica.data import ConfigError, gen_leadlag, write_csv
+from mica.training import TrainConfig
 
 TINY_CONF = """\
 # tiny end-to-end run
@@ -84,6 +89,61 @@ def test_removed_settings_are_rejected(tmp_path):
         main(["flops", "--config", str(conf), "--threads", "1"])
 
 
+def test_config_keys_are_the_config_class_fields(tmp_path):
+    owners = {"model": (ModelConfig, MicaConfig), "train": (TrainConfig,)}
+    field_defaults = {}
+    for prefix, classes in owners.items():
+        for cls in classes:
+            for f in fields(cls):
+                if f.name not in ("mica", "d_q"):
+                    field_defaults.setdefault(f"{prefix}.{f.name}", f.default)
+    keys = {k for k in cli.SCHEMA if k.split(".")[0] in owners}
+    assert keys == set(field_defaults) | {"model.mica"}
+    # those keys hold a parser and help text, and no default of their own
+    assert all(len(cli.SCHEMA[k]) == 2 for k in keys)
+    conf = tmp_path / "empty.conf"
+    conf.write_text("")
+    parsed = parse_config(conf)
+    assert set(parsed) == set(cli.SCHEMA)
+    for key, default in field_defaults.items():
+        assert parsed[key] == (None if default is MISSING else default), key
+    assert parsed["model.mica"] is False
+    assert (model_config_from({**parsed, "model.horizon": 4})
+            == ModelConfig(horizon=4))
+    assert train_config_from(parsed) == TrainConfig()
+
+
+def test_mica_only_keys_need_mica(workspace, capsys):
+    tmp, conf = workspace
+    off = tmp / "off.conf"
+    off.write_text(conf.read_text().replace("model.mica = true",
+                                            "model.mica = false")
+                   + "model.gate = mlp\nmodel.epsilon = 1e-3\n")
+    out = tmp / "off_out"
+    assert main(["train", "--config", str(off), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model.gate" in err and "model.epsilon" in err
+    assert not out.exists()
+    assert cli.MICA_ONLY == ("model.gate", "model.mlp_hidden",
+                             "model.mlp_layers", "model.mlp_dropout",
+                             "model.exclusion", "model.weight_mode",
+                             "model.epsilon")
+    # the same keys are fine with the mica block on
+    on = tmp / "on.conf"
+    on.write_text(conf.read_text() + "model.gate = mlp\n")
+    assert model_config_from(parse_config(on)).mica.gate == "mlp"
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_parallel_seeds_must_be_positive(workspace, capsys, workers):
+    tmp, conf = workspace
+    out = tmp / "par_out"
+    assert main(["train", "--config", str(conf), "--out", str(out),
+                 "--parallel-seeds", workers]) == 2
+    assert "--parallel-seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_config_from_builds_mica(tmp_path):
     conf = tmp_path / "m.conf"
     conf.write_text("model.horizon = 4\nmodel.mica = true\n"
@@ -121,6 +181,12 @@ def test_help_lists_schema(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "model.horizon" in out and "bench.grid" in out
+    lines = {line.split()[0]: line for line in out.splitlines()
+             if line.startswith("  model.") or line.startswith("  bench.")}
+    assert lines["model.horizon"].endswith("(required)")
+    assert lines["model.input_size"].endswith("input window length "
+                                              "(default 2*H)")
+    assert "mica flops" in lines["bench.channels"]
 
 
 # -- train / eval round trip -------------------------------------------------------------
@@ -187,6 +253,7 @@ def test_eval_checks_digest_and_writes_outputs(workspace, capsys):
                  "--out", str(tmp / "e2")])
     assert code == 3
     assert "does not match" in capsys.readouterr().err
+    assert not (tmp / "e2").exists()
 
 
 def test_eval_runs_each_split_through_the_model_once(workspace,
@@ -255,6 +322,7 @@ def test_bench_rejects_mica_mechanism_without_mica(workspace, capsys):
                  "--out", str(tmp / "x")])
     assert code == 2
     assert "model.mica" in capsys.readouterr().err
+    assert not (tmp / "x").exists()
 
 
 def test_flops_command_prints_breakdown(workspace, capsys):
@@ -269,3 +337,24 @@ def test_flops_command_prints_breakdown(workspace, capsys):
                  "--out", str(tmp / "fl")]) == 0
     rows = list(csv.reader(open(tmp / "fl" / "flops.csv")))
     assert rows[0][0] == "mechanism"
+
+
+def test_flops_csv_rows_are_the_counters(workspace):
+    tmp, conf = workspace
+    fl_conf = tmp / "f.conf"
+    fl_conf.write_text("model.horizon = 4\nmodel.mica = true\n"
+                       "model.gate = mlp_query\nbench.channels = 5\n")
+    assert main(["flops", "--config", str(fl_conf),
+                 "--out", str(tmp / "fl")]) == 0
+    rows = list(csv.reader(open(tmp / "fl" / "flops.csv")))
+    mcfg = model_config_from(parse_config(fl_conf))
+    want = []
+    for mech in ("baseline", "mica", "concat"):
+        rep = count_flops(mcfg, 5, mech)
+        want.append([mech, "5", str(rep.local_flops), str(rep.global_flops),
+                     str(rep.gate_flops), str(rep.backbone_flops),
+                     str(rep.total_flops), str(count_params(mcfg, 5, mech)),
+                     ""])
+    assert rows == [["mechanism", "channels", "local_flops", "global_flops",
+                     "gate_flops", "backbone_flops", "total_flops", "params",
+                     "latency_ms"]] + want
