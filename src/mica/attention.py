@@ -30,7 +30,6 @@ class MicaConfig:
     n_heads: int = 4
     d_k: int = 32
     d_v: int = 32
-    d_q: int | None = None  # defaults to d_k; must equal d_k to read memory
     gate: str = "shared_beta"
     mlp_hidden: int = 128
     mlp_layers: int = 2
@@ -40,14 +39,8 @@ class MicaConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.d_q is None:
-            self.d_q = self.d_k
-        if min(self.n_heads, self.d_k, self.d_v, self.d_q) < 1:
+        if min(self.n_heads, self.d_k, self.d_v) < 1:
             raise ValueError("head count and head dims must be positive")
-        if self.d_q != self.d_k:
-            raise ValueError(
-                f"d_q ({self.d_q}) must equal d_k ({self.d_k}) so phi(Q) can "
-                "address the compressed memory")
         if self.gate not in GATE_KINDS:
             raise ValueError(f"unknown gate kind '{self.gate}'")
         if self.weight_mode not in WEIGHT_MODES:
@@ -67,6 +60,17 @@ class MicaConfig:
     def layerwise(self) -> bool:
         return self.gate in ("layerwise_beta", "layerwise_channelwise_beta",
                              "mlp", "mlp_query")
+
+    @property
+    def gate_layers(self) -> list[tuple[int, int]]:
+        """(in, out) of each Linear of the gate MLP, which reads both paths'
+        heads (and the queries' for mlp_query); empty for a beta gate."""
+        if self.gate not in ("mlp", "mlp_query"):
+            return []
+        d_in = 2 * self.d_v + (self.d_k if self.gate == "mlp_query" else 0)
+        dims = ([d_in * self.n_heads] + [self.mlp_hidden] *
+                (self.mlp_layers - 1) + [self.n_heads])
+        return list(zip(dims, dims[1:]))
 
 
 @dataclass
@@ -93,7 +97,7 @@ def merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(2, 3).reshape(b, c, p, n * dh)
 
 
-# query rows per score block of an untaped local attention over a long axis
+# query rows per score tile of an untaped local attention over a long axis
 ROW_BLOCK = 1024
 
 
@@ -105,13 +109,58 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
     return np.matmul(attn, v), attn
 
 
+def online_softmax_update(m, l, acc, scores, values, scale: float):
+    """One key-tile step of streaming softmax attention (Milakov and
+    Gimelshein, arXiv:1805.02867) in normalized form.  m, l: running row max
+    and normalizer (..., rows); acc: the output over the keys so far (...,
+    rows, d_v), divided by l, updated in place; scores: the unscaled q k^T
+    of the key tile (..., rows, cols), overwritten; values: (..., cols,
+    d_v).  Returns the new (m, l); m never decreases.  From m = -inf and
+    l = acc = 0, one tile of every key gives ``_attend``'s bits."""
+    scores *= scale
+    m_new = np.maximum(m, scores.max(axis=-1))
+    scores -= m_new[..., None]
+    np.exp(scores, out=scores)
+    kept = np.exp(m - m_new) * l                     # old weight at m_new
+    l_new = kept + scores.sum(axis=-1)
+    scores /= l_new[..., None]
+    acc *= (kept / l_new)[..., None]
+    acc += np.matmul(scores, values)
+    return m_new, l_new
+
+
+def _attend_tiles(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
+                  block_rows: int, block_cols: int) -> np.ndarray:
+    """softmax(q k^T * scale) @ v on ndarrays, streamed: per leading index,
+    each block of ``block_rows`` queries reads the keys in tiles of
+    ``block_cols`` through ``online_softmax_update``, so at most one
+    (block_rows, block_cols) score tile is alive at a time."""
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    qs, ks, vs = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (q, k, v))
+    out = np.zeros(lead + (q.shape[-2], v.shape[-1]))
+    for idx in np.ndindex(lead):
+        for i0 in range(0, q.shape[-2], block_rows):
+            rows = slice(i0, i0 + block_rows)
+            acc = out[idx][rows]                     # a view: filled in place
+            m, l = np.full(acc.shape[:-1], -np.inf), np.zeros(acc.shape[:-1])
+            for j0 in range(0, k.shape[-2], block_cols):
+                cols = slice(j0, j0 + block_cols)
+                # the tile is passed, not named, so it dies with the call
+                m, l = online_softmax_update(
+                    m, l, acc, np.matmul(qs[idx][rows],
+                                         ks[idx][cols].swapaxes(-1, -2)),
+                    vs[idx][cols], scale)
+    return out
+
+
 def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product softmax attention within each channel, as one op.
 
     When it records no tape and has more than ``ROW_BLOCK`` patches, it
-    attends per leading index in blocks of ``ROW_BLOCK`` query rows, so a
-    concat block at C=256 never holds its whole (300 MB) score tensor.  The
-    blocks agree with the full tensor to rounding; shorter axes use it.
+    runs ``_attend_tiles`` with tiles of ``ROW_BLOCK`` query rows by every
+    key, so a concat block at C=256 never holds its whole (300 MB) score
+    tensor.  The tiles agree with the full tensor to rounding; shorter
+    axes, and the taped op, whose backward needs the softmax, use it.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
@@ -120,15 +169,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError("key and value patch counts differ")
     scale = 1.0 / np.sqrt(k.shape[-1])
     if q.shape[-2] > ROW_BLOCK and not records((q, k, v)):
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-        qs, ks, vs = (np.broadcast_to(t.data, lead + t.shape[-2:])
-                      for t in (q, k, v))
-        out = np.empty(lead + (q.shape[-2], v.shape[-1]))
-        for idx in np.ndindex(lead):
-            for i0 in range(0, q.shape[-2], ROW_BLOCK):
-                rows = slice(i0, i0 + ROW_BLOCK)
-                out[idx][rows] = _attend(qs[idx][rows], ks[idx], vs[idx],
-                                         scale)[0]
+        out = _attend_tiles(q.data, k.data, v.data, scale, ROW_BLOCK,
+                            k.shape[-2])
         return _make(out, "local_attention", (q, k, v), None)
     out, attn = _attend(q.data, k.data, v.data, scale)
 
@@ -313,17 +355,13 @@ class BetaGate(Module):
 
 class MlpGate(Module):
     """Token-conditional mixing: an MLP over the concatenated head outputs
-    (optionally plus projected queries) emits one weight per head."""
+    (plus the projected queries for ``mlp_query``) emits one weight per
+    head.  Its layer widths are ``cfg.gate_layers``."""
 
-    def __init__(self, n_heads: int, d_v: int, rng: np.random.Generator,
-                 hidden: int = 128, n_layers: int = 2, p_drop: float = 0.0,
-                 d_q: int | None = None):
-        in_dim = 2 * n_heads * d_v + (n_heads * d_q if d_q else 0)
-        dims = [in_dim] + [hidden] * (n_layers - 1) + [n_heads]
-        self.layers = [Linear(dims[i], dims[i + 1], rng)
-                       for i in range(len(dims) - 1)]
-        self._p_drop = p_drop
-        self._uses_query = d_q is not None
+    def __init__(self, cfg: MicaConfig, rng: np.random.Generator):
+        self.layers = [Linear(a, b, rng) for a, b in cfg.gate_layers]
+        self._p_drop = cfg.mlp_dropout
+        self._uses_query = cfg.gate == "mlp_query"
 
     def __call__(self, a_local: Tensor, a_global: Tensor, q: Tensor = None,
                  training: bool = False, rng=None) -> tuple[Tensor, Tensor]:
@@ -344,10 +382,8 @@ class MlpGate(Module):
 def make_gate(cfg: MicaConfig, rng: np.random.Generator,
               n_channels: int = 1) -> Module:
     """Build the gate object a block (or encoder, when shared) owns."""
-    if cfg.gate in ("mlp", "mlp_query"):
-        return MlpGate(cfg.n_heads, cfg.d_v, rng, hidden=cfg.mlp_hidden,
-                       n_layers=cfg.mlp_layers, p_drop=cfg.mlp_dropout,
-                       d_q=cfg.d_q if cfg.gate == "mlp_query" else None)
+    if cfg.gate_layers:
+        return MlpGate(cfg, rng)
     return BetaGate(cfg.n_heads, rng,
                     n_channels=n_channels if cfg.channelwise else 1)
 
@@ -404,7 +440,7 @@ class MicaAttention(LocalAttention):
                 np.ones((1, n_channels, 1, 1, 1)), requires_grad=True)
         elif cfg.weight_mode == "dynamic":
             # starts near uniform weighting (w ~= 1 for every channel)
-            self.weight_proj = Linear(cfg.d_q, 1, rng)
+            self.weight_proj = Linear(cfg.d_k, 1, rng)
             self.weight_proj.weight.data = rng.normal(
                 0.0, 1e-3, size=self.weight_proj.weight.shape)
             self.weight_proj.bias.data[:] = 1.0
@@ -418,7 +454,7 @@ class MicaAttention(LocalAttention):
         if self._cfg.weight_mode == "static":
             return self.channel_weights
         if self._cfg.weight_mode == "dynamic":
-            pooled = q.sum(axis=-2, keepdims=True)   # (B,C,N,1,d_q)
+            pooled = q.sum(axis=-2, keepdims=True)   # (B,C,N,1,d_k)
             return self.weight_proj(pooled)          # (B,C,N,1,1)
         return None
 
@@ -435,8 +471,7 @@ class MicaAttention(LocalAttention):
             g = Tensor(np.float64(mix_override))
             a_mixed = mix(a_local, a_global, g)
         else:
-            a_mixed, g = self._gate(a_local, a_global, training=training,
-                                    q=q if cfg.gate == "mlp_query" else None,
+            a_mixed, g = self._gate(a_local, a_global, q, training=training,
                                     rng=rng)
         out = self.w_out(merge_heads(a_mixed))
         return AttentionOutput(a_local, a_global, a_mixed, g, out)
@@ -444,65 +479,32 @@ class MicaAttention(LocalAttention):
 
 # -- fused streaming evaluation (inference path, no tape) --------------------
 
-def online_softmax_update(m, l, acc, scores, values):
-    """One block step of streaming softmax attention.
-
-    m: running row max (..., rows); l: running normalizer; acc: running
-    unnormalized output (..., rows, d_v); scores: (..., rows, cols) for the
-    incoming key block; values: (..., cols, d_v).  Returns updated
-    (m, l, acc); m never decreases.
-    """
-    m_new = np.maximum(m, scores.max(axis=-1))
-    correction = np.exp(m - m_new)
-    p = np.exp(scores - m_new[..., None])
-    l_new = correction * l + p.sum(axis=-1)
-    acc_new = acc * correction[..., None] + np.matmul(p, values)
-    return m_new, l_new, acc_new
-
-
 def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                   eps: float = 1e-6) -> np.ndarray:
     """Two-pass fused evaluation of the mixed attention output.
 
     Pass 1 writes the channel-compressed memory and reads it with phi(Q),
-    through the same kernels as the tape ops; pass 2 streams each
-    channel's local attention in (block_rows x block_cols) score tiles with
-    an online softmax, then blends with the global read using sigmoid(beta).
-    Pure numpy, O(block_rows * block_cols) score storage per tile.
+    through the same kernels as the tape ops; pass 2 is each channel's
+    local attention, streamed by ``_attend_tiles`` in (block_rows x
+    block_cols) score tiles.  The two are blended with sigmoid(beta).
+    Pure numpy, O(block_rows * block_cols) score storage.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     beta = np.asarray(beta, dtype=np.float64)
-    b, c, n, p, d_k = k.shape
-    d_v = v.shape[-1]
+    c, d_k = k.shape[1], k.shape[-1]
     if q.shape[-1] != d_k:
-        raise ShapeError("fused path needs d_q == d_k")
+        raise ShapeError("fused path needs query dim == key dim")
     if block_rows < 1 or block_cols < 1:
         raise ValueError("block sizes must be >= 1")
     if beta.shape[1] not in (1, c):
         raise ShapeError(
             f"gate holds {beta.shape[1]} channel slots but input has {c}")
-    scale = 1.0 / np.sqrt(d_k)
 
     memory, z = global_memory_np(phi_np(k), v)[:2]
-    glob = global_attention_np(phi_np(q), memory, z, eps)[0]
-
-    gate = np.broadcast_to(sigmoid_np(beta), (1, c, n, 1, 1))
-    out = np.empty((b, c, n, p, d_v))
-    for ci in range(c):
-        qc, kc, vc = q[:, ci], k[:, ci], v[:, ci]    # (B,N,P,d)
-        local = np.empty((b, n, p, d_v))
-        for i0 in range(0, p, block_rows):
-            i1 = min(i0 + block_rows, p)
-            rows = i1 - i0
-            qb = qc[:, :, i0:i1]
-            m = np.full((b, n, rows), -np.inf)
-            l = np.zeros((b, n, rows))
-            acc = np.zeros((b, n, rows, d_v))
-            for j0 in range(0, p, block_cols):
-                j1 = min(j0 + block_cols, p)
-                s = np.matmul(qb, kc[:, :, j0:j1].swapaxes(-1, -2)) * scale
-                m, l, acc = online_softmax_update(m, l, acc, s,
-                                                  vc[:, :, j0:j1])
-            local[:, :, i0:i1] = acc / l[..., None]
-        out[:, ci] = gate[:, ci] * glob[:, ci] + (1.0 - gate[:, ci]) * local
+    out = global_attention_np(phi_np(q), memory, z, eps)[0]
+    local = _attend_tiles(q, k, v, 1.0 / np.sqrt(d_k), block_rows,
+                          block_cols)
+    gate = sigmoid_np(beta)
+    out *= gate
+    out += (1.0 - gate) * local
     return out

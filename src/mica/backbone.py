@@ -20,7 +20,7 @@ import numpy as np
 from .attention import (AttentionOutput, LocalAttention, MicaAttention,
                         MicaConfig, make_gate)
 from .nn import FeedForward, LayerNorm, Linear, Module, dropout
-from .tensor import ShapeError, Tensor, gather_last
+from .tensor import ShapeError, Tensor
 
 HEAD_KINDS = ("shared_linear", "multivariate")
 
@@ -86,13 +86,9 @@ def patch_indices(length: int, patch_len: int, stride: int) -> np.ndarray:
     return np.minimum(idx, length - 1)
 
 
-def patchify(y, patch_len: int, stride: int):
-    """(B,C,L) -> (B,C,P,patch_len); works on Tensor (tape) or ndarray."""
-    length = y.shape[-1]
-    idx = patch_indices(length, patch_len, stride)
-    if isinstance(y, Tensor):
-        return gather_last(y, idx)
-    return np.asarray(y)[..., idx]
+def patchify(y: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
+    """(B,C,L) -> (B,C,P,patch_len)."""
+    return y[..., patch_indices(y.shape[-1], patch_len, stride)]
 
 
 def sincos_table(n_positions: int, dim: int) -> np.ndarray:
@@ -122,11 +118,9 @@ def standardize(y: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     return (y - mean) / std, InstanceStats(mean=mean, std=std)
 
 
-def destandardize(pred, stats: InstanceStats):
+def destandardize(pred: Tensor, stats: InstanceStats) -> Tensor:
     """Map standardized predictions back to data units."""
-    if isinstance(pred, Tensor):
-        return pred * Tensor(stats.std) + Tensor(stats.mean)
-    return pred * stats.std + stats.mean
+    return pred * Tensor(stats.std) + Tensor(stats.mean)
 
 
 # -- model ---------------------------------------------------------------------
@@ -263,6 +257,9 @@ def config_digest(cfg: ModelConfig, n_channels: int) -> str:
     items = {"n_channels": n_channels}
     for key, val in sorted(dataclasses.asdict(cfg).items()):
         if isinstance(val, dict):
+            # MicaConfig once had a d_q field, always equal to d_k; hashing
+            # it keeps the digest of every saved parameter file
+            val["d_q"] = val["d_k"]
             for sub, sval in sorted(val.items()):
                 items[f"{key}.{sub}"] = sval
         else:

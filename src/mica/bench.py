@@ -69,15 +69,6 @@ def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
         raise ValueError("mechanism 'mica' needs cfg.mica (model.mica = true)")
 
 
-def _gate_mlp_layers(cfg: ModelConfig) -> list[tuple[int, int]]:
-    """(in, out) of each Linear of the gate MLP of ``cfg.mica``."""
-    m = cfg.mica
-    in_dim = 2 * cfg.n_heads * cfg.d_v + (
-        cfg.n_heads * m.d_q if m.gate == "mlp_query" else 0)
-    dims = [in_dim] + [m.mlp_hidden] * (m.mlp_layers - 1) + [cfg.n_heads]
-    return list(zip(dims, dims[1:]))
-
-
 def count_flops(cfg: ModelConfig, n_channels: int,
                 mechanism: str) -> FlopReport:
     """Exact analytic FLOPs of one forward pass on a single window."""
@@ -130,17 +121,17 @@ def count_flops(cfg: ModelConfig, n_channels: int,
         if m.weight_mode == "static":
             per_layer_global += c * n * (dk * dv + dk)
         elif m.weight_mode == "dynamic":
-            per_layer_global += (c * n * p * m.d_q          # pool queries
-                                 + c * n * (2 * m.d_q + 1)  # project
+            per_layer_global += (c * n * p * dk             # pool queries
+                                 + c * n * (2 * dk + 1)     # project
                                  + c * n * (dk * dv + dk))  # apply
         if m.exclusion:
             per_layer_global += c * n * (dk * dv + dk)
         global_ = lyr * per_layer_global
 
         mix_cost = 4 * c * n * p * dv
-        if m.gate in ("mlp", "mlp_query"):
+        if m.gate_layers:
             per_token = sum(_linear_flops(1, a, b) + b             # + act
-                            for a, b in _gate_mlp_layers(cfg))
+                            for a, b in m.gate_layers)
             gate = lyr * (tokens * per_token + mix_cost)
         else:
             n_beta = n * (c if m.channelwise else 1)
@@ -172,15 +163,15 @@ def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
 
     if mechanism == "mica":
         m = cfg.mica
-        if m.gate not in ("mlp", "mlp_query"):
+        if m.gate_layers:
+            total += lyr * sum(a * b + b for a, b in m.gate_layers)
+        else:
             total += (n * (lyr if m.layerwise else 1)
                       * (c if m.channelwise else 1))
-        else:
-            total += lyr * sum(a * b + b for a, b in _gate_mlp_layers(cfg))
         if m.weight_mode == "static":
             total += lyr * c
         elif m.weight_mode == "dynamic":
-            total += lyr * (m.d_q + 1)
+            total += lyr * (dk + 1)
     return total
 
 
@@ -240,26 +231,9 @@ def set_blas_threads(n: int) -> None:
                            f"for {n}")
 
 
-def ensure_single_thread() -> None:
-    """Refuse to time anything unless numpy's BLAS pool runs one thread."""
-    threads = blas_threads()
-    if threads != 1:
-        raise RuntimeError(f"BLAS pool runs {threads} threads, expected 1; "
-                           "call limit_threads() first")
-
-
-def limit_threads() -> int:
-    """Pin numpy's BLAS pool to one thread; returns the previous count."""
-    previous = blas_threads()
-    set_blas_threads(1)
-    return previous
-
-
 @dataclass
 class LatencyStats:
     mean_ms: float
-    min_ms: float
-    max_ms: float
     repeats: int
 
 
@@ -268,9 +242,9 @@ def measure_latency(fn, repeats: int = 100, warmup: int = 10) -> LatencyStats:
     one thread for the length of the call, then restored."""
     if repeats < 1 or warmup < 0:
         raise ValueError("need repeats >= 1 and warmup >= 0")
-    previous = limit_threads()
+    previous = blas_threads()
     try:
-        ensure_single_thread()
+        set_blas_threads(1)
         for _ in range(warmup):
             fn()
         times = []
@@ -280,9 +254,7 @@ def measure_latency(fn, repeats: int = 100, warmup: int = 10) -> LatencyStats:
             times.append((time.perf_counter() - t0) * 1e3)
     finally:
         set_blas_threads(previous)
-    arr = np.asarray(times)
-    return LatencyStats(mean_ms=float(arr.mean()), min_ms=float(arr.min()),
-                        max_ms=float(arr.max()), repeats=repeats)
+    return LatencyStats(mean_ms=float(np.mean(times)), repeats=repeats)
 
 
 # -- scaling fits -------------------------------------------------------------------

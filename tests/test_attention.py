@@ -5,11 +5,11 @@ import pytest
 from mica import attention
 from mica.attention import (ROW_BLOCK, AttentionOutput, BetaGate,
                             LocalAttention, MicaAttention, MicaConfig,
-                            MlpGate, center_beta, fused_forward,
-                            global_attention, global_memory, local_attention,
-                            merge_heads, mix, online_softmax_update,
-                            split_heads)
-from mica.tensor import ShapeError, Tensor, no_grad, softmax_np
+                            MlpGate, _attend, _attend_tiles, center_beta,
+                            fused_forward, global_attention, global_memory,
+                            local_attention, merge_heads, mix,
+                            online_softmax_update, split_heads)
+from mica.tensor import ShapeError, Tensor, no_grad
 
 
 # -- brute-force oracles (independent loops, no library math) ----------------
@@ -80,26 +80,36 @@ def test_local_attention_matches_oracle():
                             oracle_local(q.data, k.data, v.data), atol=1e-12)
 
 
+def record_tiles(monkeypatch) -> list:
+    """Shapes of the score tiles handed to the online-softmax step."""
+    tiles = []
+    step = online_softmax_update
+
+    def recording(m, l, acc, scores, values, scale):
+        tiles.append(scores.shape)
+        return step(m, l, acc, scores, values, scale)
+
+    monkeypatch.setattr(attention, "online_softmax_update", recording)
+    return tiles
+
+
 @pytest.mark.parametrize("p", [ROW_BLOCK, 1500])
 def test_untaped_local_attention_matches_the_tape(p, monkeypatch):
-    # past ROW_BLOCK patches the untaped op computes its scores in row
-    # blocks; up to it, it runs the taped arithmetic itself
+    # past ROW_BLOCK patches the untaped op streams tiles of ROW_BLOCK query
+    # rows by every key; up to it, it runs the taped arithmetic itself
     rng = np.random.default_rng(11)
     q, k, v = (rng.normal(size=(1, 1, 2, p, 16)) for _ in range(3))
     taped = local_attention(*(Tensor(a, requires_grad=True)
                               for a in (q, k, v)))
     assert taped.requires_grad
-    scores = []
-    monkeypatch.setattr(attention, "softmax_np",
-                        lambda x, out=None: scores.append(x.shape)
-                        or softmax_np(x, out))
+    tiles = record_tiles(monkeypatch)
     with no_grad():
         fast = local_attention(q, k, v)
     assert not fast.requires_grad
     if p <= ROW_BLOCK:
-        assert scores == [(1, 1, 2, p, p)]
+        assert tiles == []
     else:  # per head, one full block of rows and the rest
-        assert scores == [(ROW_BLOCK, p), (p - ROW_BLOCK, p)] * 2
+        assert tiles == [(ROW_BLOCK, p), (p - ROW_BLOCK, p)] * 2
     npt.assert_allclose(fast.data, taped.data, rtol=0,
                         atol=0 if p <= ROW_BLOCK else 1e-12)
 
@@ -259,13 +269,19 @@ def test_mlp_gate_shapes_and_query_requirement():
     mem, z = global_memory(k, v)
     a_g = global_attention(q, mem, z)
 
-    gate = MlpGate(2, 4, rng, hidden=16, n_layers=3)
+    cfg = MicaConfig(n_heads=2, d_k=4, d_v=4, gate="mlp", mlp_hidden=16,
+                     mlp_layers=3)
+    gate = MlpGate(cfg, rng)
+    assert [lin.weight.shape for lin in gate.layers] == cfg.gate_layers
     mixed, g = gate(a_l, a_g)
     assert mixed.shape == a_l.shape
     assert g.shape == (2, 3, 2, 4, 1)
     assert np.all((g.data > 0) & (g.data < 1))
 
-    qgate = MlpGate(2, 4, rng, hidden=16, n_layers=2, d_q=4)
+    qcfg = MicaConfig(n_heads=2, d_k=4, d_v=4, gate="mlp_query",
+                      mlp_hidden=16)
+    qgate = MlpGate(qcfg, rng)
+    assert qcfg.gate_layers == [(2 * 4 + 2 * 4 + 2 * 4, 16), (16, 2)]
     mixed_q, _ = qgate(a_l, a_g, q=q)
     assert mixed_q.shape == a_l.shape
     with pytest.raises(ValueError):
@@ -276,8 +292,9 @@ def test_gate_parameter_counts():
     rng = np.random.default_rng(14)
     assert BetaGate(4, rng).n_params() == 4
     assert BetaGate(4, rng, n_channels=7).n_params() == 28
-    g = MlpGate(2, 4, rng, hidden=8, n_layers=2)
-    assert g.n_params() == (16 * 8 + 8) + (8 * 2 + 2)
+    cfg = MicaConfig(n_heads=2, d_k=4, d_v=4, gate="mlp", mlp_hidden=8)
+    assert MlpGate(cfg, rng).n_params() == (16 * 8 + 8) + (8 * 2 + 2)
+    assert MicaConfig(gate="layerwise_beta").gate_layers == []
 
 
 # -- full block ------------------------------------------------------------------
@@ -310,8 +327,6 @@ def test_config_validation():
         MicaConfig(gate="nope")
     with pytest.raises(ValueError):
         MicaConfig(weight_mode="nope")
-    with pytest.raises(ValueError):
-        MicaConfig(d_q=16, d_k=8)
     with pytest.raises(ValueError):
         MicaConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -381,10 +396,38 @@ def test_online_softmax_running_max_monotone():
     for _ in range(6):
         s = rng.normal(size=(1, 1, 2, 4)) * 3
         vals = rng.normal(size=(1, 1, 4, 3))
-        m, l, acc = online_softmax_update(m, l, acc, s, vals)
+        m, l = online_softmax_update(m, l, acc, s, vals, 0.5)
         assert np.all(m >= prev)
         prev = m.copy()
     assert np.all(l > 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 8, 4), (1, 2, 3, 1, 5)])
+def test_attend_tiles_with_one_key_tile_is_attend(shape):
+    # one tile of every key per row block is _attend on that row block
+    rng = np.random.default_rng(22)
+    q, k, v = (rng.normal(size=shape) for _ in range(3))
+    p = shape[-2]
+    for rows in (1, 3, p):
+        want = np.empty(shape)
+        for idx in np.ndindex(shape[:-2]):
+            for i0 in range(0, p, rows):
+                want[idx][i0:i0 + rows] = _attend(q[idx][i0:i0 + rows],
+                                                  k[idx], v[idx], 0.5)[0]
+        npt.assert_allclose(_attend_tiles(q, k, v, 0.5, rows, p), want,
+                            rtol=0, atol=0)
+
+
+def test_fused_forward_tiles_fit_the_blocks(monkeypatch):
+    rng = np.random.default_rng(23)
+    q, k, v = rand_qkv(rng, b=1, c=2, n=2, p=7, dk=4, dv=3)
+    beta = np.zeros((1, 1, 2, 1, 1))
+    for br, bc in [(1, 1), (2, 3), (3, 7), (7, 2), (9, 9)]:
+        tiles = record_tiles(monkeypatch)
+        fused_forward(q.data, k.data, v.data, beta, br, bc)
+        assert tiles and all(r <= br and c <= bc for r, c in tiles)
+        # every (query, key) score is computed exactly once
+        assert sum(r * c for r, c in tiles) == 1 * 2 * 2 * 7 * 7
 
 
 def test_fused_forward_rejects_bad_blocks():

@@ -7,7 +7,7 @@ from mica.backbone import (ForecastModel, IntegrityError, ModelConfig,
                            config_digest, destandardize, load_params,
                            patch_count, patch_indices, patchify, save_params,
                            sincos_table, standardize)
-from mica.tensor import ShapeError, Tensor, no_grad
+from mica.tensor import ShapeError, Tensor, gather_last, no_grad
 
 
 def small_cfg(**over):
@@ -39,10 +39,11 @@ def test_patch_indices_replicate_last_value():
 
 
 def test_patchify_tensor_and_numpy_agree():
+    # the model patchifies an ndarray; the tape's gather_last agrees with it
     rng = np.random.default_rng(0)
     y = rng.normal(size=(2, 3, 10))
     got_np = patchify(y, 8, 8)
-    got_t = patchify(Tensor(y), 8, 8)
+    got_t = gather_last(Tensor(y), patch_indices(10, 8, 8))
     assert got_np.shape == (2, 3, 2, 8)
     npt.assert_array_equal(got_np, got_t.data)
     # padded tail replicates the last observation
@@ -69,7 +70,6 @@ def test_standardize_moments_and_roundtrip():
     y_std, stats = standardize(y)
     npt.assert_allclose(y_std.mean(axis=-1), 0.0, atol=1e-12)
     npt.assert_allclose(y_std.std(axis=-1), 1.0, atol=1e-12)
-    npt.assert_allclose(destandardize(y_std, stats), y, atol=1e-12)
     back = destandardize(Tensor(y_std), stats)
     npt.assert_allclose(back.data, y, atol=1e-12)
 
@@ -80,7 +80,8 @@ def test_standardize_constant_channel_uses_floor():
     assert np.all(np.isfinite(y_std))
     npt.assert_allclose(y_std, 0.0, atol=0)
     npt.assert_allclose(stats.std, 1e-8, atol=0)
-    npt.assert_allclose(destandardize(y_std, stats), y, atol=1e-12)
+    npt.assert_allclose(destandardize(Tensor(y_std), stats).data, y,
+                        atol=1e-12)
 
 
 # -- model ---------------------------------------------------------------------------
@@ -280,6 +281,21 @@ def test_config_digest_sensitivity():
     assert base != config_digest(cfg, 4)
     assert base != config_digest(small_cfg(mica=mica_cfg(exclusion=True)), 3)
     assert base != config_digest(small_cfg(), 3)
+
+
+@pytest.mark.parametrize("gate, digest", [
+    ("shared_beta",
+     "302e296e70c833769112f7e129cd5d61f41a4cd35be0be1eaa55c43934c6a47d"),
+    ("mlp_query",
+     "108395a79f773d8bb1d11be63adb2e4d1a902b88edcf99b0e4cafde365ca3427"),
+])
+def test_config_digest_is_pinned(gate, digest):
+    # saved parameter files carry this digest, so it must never drift: the
+    # README quick-start model (C=7) with its own gate and an mlp_query one
+    cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                      n_heads=4, d_k=16, d_v=16, ff_hidden=128,
+                      mica=MicaConfig(n_heads=4, d_k=16, d_v=16, gate=gate))
+    assert config_digest(cfg, 7) == digest
 
 
 def test_load_state_validates_names_and_shapes():

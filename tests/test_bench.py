@@ -6,9 +6,9 @@ from mica import bench
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
-                        count_flops, count_params, ensure_single_thread,
-                        fit_scaling, limit_threads, measure_latency,
-                        set_blas_threads, sweep_channels, sweep_lengths)
+                        count_flops, count_params, fit_scaling,
+                        measure_latency, set_blas_threads, sweep_channels,
+                        sweep_lengths)
 from mica.tensor import no_grad
 
 
@@ -139,12 +139,10 @@ def test_timed_forward_returns_the_forecast(mech):
 # -- timing ---------------------------------------------------------------------------
 
 def test_single_thread_guard_passes_here():
-    previous = limit_threads()
-    try:
-        ensure_single_thread()
-        assert blas_threads() == 1
-    finally:
-        set_blas_threads(previous)
+    previous = blas_threads()
+    seen = []
+    measure_latency(lambda: seen.append(blas_threads()), repeats=2, warmup=0)
+    assert seen == [1, 1]
     assert blas_threads() == previous
 
 
@@ -160,21 +158,18 @@ class FakeBlas:
 
 
 def test_guard_refuses_two_threads(monkeypatch):
+    # a pool that stays at 2 threads when asked for 1 times nothing
     fake = FakeBlas(2)
-    monkeypatch.setattr(bench, "_openblas", fake.controls)
-    with pytest.raises(RuntimeError, match="2 threads"):
-        ensure_single_thread()
-    assert limit_threads() == 2
-    assert fake.threads == 1
-    ensure_single_thread()
+    stuck = (fake.controls()[0], lambda n: None)
+    monkeypatch.setattr(bench, "_openblas", lambda: stuck)
+    calls = []
+    with pytest.raises(RuntimeError, match="reports 2 threads"):
+        measure_latency(lambda: calls.append(1), repeats=1, warmup=0)
+    assert calls == []
 
 
 def test_guard_refuses_without_openblas(monkeypatch):
     monkeypatch.setattr(bench, "_openblas", lambda: None)
-    with pytest.raises(RuntimeError, match="no known BLAS"):
-        ensure_single_thread()
-    with pytest.raises(RuntimeError, match="no known BLAS"):
-        limit_threads()
     with pytest.raises(RuntimeError, match="no known BLAS"):
         measure_latency(lambda: None, repeats=1, warmup=0)
 
@@ -213,7 +208,7 @@ def test_measure_latency_counts_and_positivity():
     assert isinstance(stats, LatencyStats)
     assert len(calls) == 9
     assert stats.repeats == 7
-    assert 0 <= stats.min_ms <= stats.mean_ms <= stats.max_ms
+    assert stats.mean_ms >= 0
     with pytest.raises(ValueError):
         measure_latency(lambda: None, repeats=0)
 

@@ -95,7 +95,7 @@ def test_config_keys_are_the_config_class_fields(tmp_path):
     for prefix, classes in owners.items():
         for cls in classes:
             for f in fields(cls):
-                if f.name not in ("mica", "d_q"):
+                if f.name != "mica":
                     field_defaults.setdefault(f"{prefix}.{f.name}", f.default)
     keys = {k for k in cli.SCHEMA if k.split(".")[0] in owners}
     assert keys == set(field_defaults) | {"model.mica"}
