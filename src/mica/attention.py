@@ -17,7 +17,7 @@ import numpy as np
 from .nn import Linear, Module, dropout
 from .tensor import (ShapeError, Tensor, _make, _unbroadcast, as_tensor,
                      concat, gelu, phi_grad, phi_np, records, sigmoid,
-                     sigmoid_np, softmax_np)
+                     softmax_np)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -194,28 +194,6 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _make(out, "local_attention", (q, k, v), backward)
 
 
-def global_memory_np(pk: np.ndarray, v: np.ndarray,
-                     weights: np.ndarray | None = None,
-                     exclusion: bool = False):
-    """The memory written by phi(K) = ``pk`` and V, on ndarrays: the numpy
-    kernel behind ``global_memory``, also used by ``fused_forward``.
-
-    Returns (M, z, own_m, own_z): the memory and key-sum normalizer as
-    ``global_memory`` describes them, and each channel's unweighted write
-    phi(K)^T V and sum_p phi(K)^T, which its backward needs.
-    """
-    own_m = np.matmul(pk.swapaxes(-1, -2), v)        # (B,C,N,d_k,d_v)
-    own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
-    wm, wz = own_m, own_z
-    if weights is not None:
-        wm, wz = own_m * weights, own_z * weights
-    m = wm.sum(axis=1, keepdims=True)                # (B,1,N,d_k,d_v)
-    z = wz.sum(axis=1, keepdims=True)
-    if exclusion:
-        m, z = m - wm, z - wz
-    return m, z, own_m, own_z
-
-
 def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
                   exclusion: bool = False) -> tuple[Tensor, Tensor]:
     """Compress all channels into a kernelized key-value memory.
@@ -233,8 +211,16 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
         raise ShapeError(f"keys {k.shape} and values {v.shape} differ "
                          "before the head dimension")
     pk = phi_np(k.data)                              # (B,C,N,P,d_k)
-    m, z, own_m, own_z = global_memory_np(
-        pk, v.data, None if w is None else w.data, exclusion)
+    # each channel's unweighted write phi(K)^T V and sum_p phi(K)^T
+    own_m = np.matmul(pk.swapaxes(-1, -2), v.data)   # (B,C,N,d_k,d_v)
+    own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
+    wm, wz = own_m, own_z
+    if w is not None:
+        wm, wz = own_m * w.data, own_z * w.data
+    m = wm.sum(axis=1, keepdims=True)                # (B,1,N,d_k,d_v)
+    z = wz.sum(axis=1, keepdims=True)
+    if exclusion:
+        m, z = m - wm, z - wz
 
     def own_grad(g, own):
         """Gradient of one channel's unweighted write from that of M or z;
@@ -267,16 +253,6 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
             _make(z, "global_memory", (k,) + extra, backward_z))
 
 
-def global_attention_np(pq: np.ndarray, memory: np.ndarray, z: np.ndarray,
-                        eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read the memory with phi(Q) = ``pq`` on ndarrays: the numpy kernel
-    behind ``global_attention``, also used by ``fused_forward``.  Returns
-    the read and its denominator phi(Q) z + eps."""
-    den = np.matmul(pq, z)
-    den += eps
-    return np.matmul(pq, memory) / den, den
-
-
 def global_attention(q: Tensor, memory: Tensor, z: Tensor,
                      eps: float = 1e-6) -> Tensor:
     """Read the compressed memory with phi(Q); linear in channel count."""
@@ -286,7 +262,9 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
             f"query dim {q.shape[-1]} cannot address memory with "
             f"d_k={memory.shape[-2]}")
     pq = phi_np(q.data)                              # (B,C,N,P,d_k)
-    out, den = global_attention_np(pq, memory.data, z.data, eps)
+    den = np.matmul(pq, z.data)                      # phi(Q) z + eps
+    den += eps
+    out = np.matmul(pq, memory.data) / den
 
     def backward(g):
         gn = g / den                                 # d numerator
@@ -309,8 +287,14 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
 
 
 def mix(a_local: Tensor, a_global: Tensor, gate_weight) -> Tensor:
-    """Convex head-wise blend: g * global + (1 - g) * local, as one op."""
+    """The one blend of the two paths, g * global + (1 - g) * local, as one
+    op (Munkhdalai et al., arXiv:2404.07143).  The weight g, a gate's output
+    or a constant, must broadcast onto ``a_local`` without growing it."""
     al, ag, gw = as_tensor(a_local), as_tensor(a_global), as_tensor(gate_weight)
+    if gw.ndim > al.ndim or any(
+            g not in (1, a) for g, a in zip(gw.shape[::-1], al.shape[::-1])):
+        raise ShapeError(f"gate weight of shape {gw.shape} does not fit "
+                         f"attention output of shape {al.shape}")
     out = gw.data * ag.data
     out += (1.0 - gw.data) * al.data
 
@@ -336,7 +320,9 @@ def center_beta(beta: np.ndarray) -> np.ndarray:
 
 
 class BetaGate(Module):
-    """Scalar-per-head mixing; init U(0, 1e-2) then centered across heads."""
+    """Scalar-per-head gate (one per channel too when ``n_channels`` > 1):
+    its weight is sigmoid(beta), beta drawn U(0, 1e-2) then centered across
+    heads so the blend starts near 50/50."""
 
     def __init__(self, n_heads: int, rng: np.random.Generator,
                  n_channels: int = 1):
@@ -344,19 +330,15 @@ class BetaGate(Module):
         self.beta = Tensor(center_beta(raw), requires_grad=True)
 
     def __call__(self, a_local: Tensor, a_global: Tensor, q=None,
-                 training: bool = False, rng=None) -> tuple[Tensor, Tensor]:
-        c_gate, c_in = self.beta.shape[1], a_local.shape[1]
-        if c_gate not in (1, c_in):
-            raise ShapeError(
-                f"gate holds {c_gate} channel slots but input has {c_in}")
-        g = sigmoid(self.beta)
-        return mix(a_local, a_global, g), g
+                 training: bool = False, rng=None) -> Tensor:
+        """The gate weight (1, 1|C, N, 1, 1); the paths are not read."""
+        return sigmoid(self.beta)
 
 
 class MlpGate(Module):
-    """Token-conditional mixing: an MLP over the concatenated head outputs
+    """Token-conditional gate: an MLP over the concatenated head outputs
     (plus the projected queries for ``mlp_query``) emits one weight per
-    head.  Its layer widths are ``cfg.gate_layers``."""
+    head and token.  Its layer widths are ``cfg.gate_layers``."""
 
     def __init__(self, cfg: MicaConfig, rng: np.random.Generator):
         self.layers = [Linear(a, b, rng) for a, b in cfg.gate_layers]
@@ -364,7 +346,8 @@ class MlpGate(Module):
         self._uses_query = cfg.gate == "mlp_query"
 
     def __call__(self, a_local: Tensor, a_global: Tensor, q: Tensor = None,
-                 training: bool = False, rng=None) -> tuple[Tensor, Tensor]:
+                 training: bool = False, rng=None) -> Tensor:
+        """The gate weight (B, C, N, P, 1)."""
         feats = [merge_heads(a_local), merge_heads(a_global)]
         if self._uses_query:
             if q is None:
@@ -375,17 +358,19 @@ class MlpGate(Module):
             h = dropout(gelu(lin(h)), self._p_drop, training, rng)
         logits = self.layers[-1](h)                  # (B,C,P,N)
         b, c, p, n = logits.shape
-        g = sigmoid(logits).reshape(b, c, p, n, 1).swapaxes(2, 3)
-        return mix(a_local, a_global, g), g
+        return sigmoid(logits).reshape(b, c, p, n, 1).swapaxes(2, 3)
 
 
 def make_gate(cfg: MicaConfig, rng: np.random.Generator,
-              n_channels: int = 1) -> Module:
+              n_channels: int | None = None) -> Module:
     """Build the gate object a block (or encoder, when shared) owns."""
     if cfg.gate_layers:
         return MlpGate(cfg, rng)
-    return BetaGate(cfg.n_heads, rng,
-                    n_channels=n_channels if cfg.channelwise else 1)
+    if not cfg.channelwise:
+        return BetaGate(cfg.n_heads, rng)
+    if n_channels is None:
+        raise ValueError("channelwise gate needs n_channels")
+    return BetaGate(cfg.n_heads, rng, n_channels=n_channels)
 
 
 class LocalAttention(Module):
@@ -421,8 +406,9 @@ class LocalAttention(Module):
 
 class MicaAttention(LocalAttention):
     """The local block plus the compressed-global path: its own parts are
-    the channel weights of the memory write, the global read and the gate
-    that blends the two paths before the shared output projection.
+    the channel weights of the memory write, the global read and the gate,
+    whose weight (or ``mix_override``, a constant weight) ``mix`` uses to
+    blend the two paths before the shared output projection.
 
     Pass ``gate`` to share one gate object across blocks; the sharer owns
     the parameters, this block only references them.
@@ -445,9 +431,7 @@ class MicaAttention(LocalAttention):
                 0.0, 1e-3, size=self.weight_proj.weight.shape)
             self.weight_proj.bias.data[:] = 1.0
         if gate is None:
-            if cfg.channelwise and n_channels is None:
-                raise ValueError("channelwise gate needs n_channels")
-            gate = self.gate = make_gate(cfg, rng, n_channels or 1)
+            gate = self.gate = make_gate(cfg, rng, n_channels)
         self._gate = gate
 
     def channel_weight_values(self, q: Tensor) -> Tensor | None:
@@ -469,10 +453,9 @@ class MicaAttention(LocalAttention):
         a_global = global_attention(q, memory, z, eps=cfg.epsilon)
         if mix_override is not None:
             g = Tensor(np.float64(mix_override))
-            a_mixed = mix(a_local, a_global, g)
         else:
-            a_mixed, g = self._gate(a_local, a_global, q, training=training,
-                                    rng=rng)
+            g = self._gate(a_local, a_global, q, training=training, rng=rng)
+        a_mixed = mix(a_local, a_global, g)
         out = self.w_out(merge_heads(a_mixed))
         return AttentionOutput(a_local, a_global, a_mixed, g, out)
 
@@ -481,30 +464,21 @@ class MicaAttention(LocalAttention):
 
 def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
                   eps: float = 1e-6) -> np.ndarray:
-    """Two-pass fused evaluation of the mixed attention output.
+    """The blended attention output with the local path streamed.
 
-    Pass 1 writes the channel-compressed memory and reads it with phi(Q),
-    through the same kernels as the tape ops; pass 2 is each channel's
-    local attention, streamed by ``_attend_tiles`` in (block_rows x
-    block_cols) score tiles.  The two are blended with sigmoid(beta).
-    Pure numpy, O(block_rows * block_cols) score storage.
+    The same ops as the reference graph (``global_memory``,
+    ``global_attention``, ``sigmoid`` and ``mix``) on ndarray inputs, except
+    that each channel's local attention runs through ``_attend_tiles`` in
+    (block_rows x block_cols) score tiles, so no P x P score matrix is ever
+    held.  With one (P x P) tile it is the reference bit for bit, and like
+    the reference it raises ``NonFiniteError`` on a non-finite value.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
-    beta = np.asarray(beta, dtype=np.float64)
-    c, d_k = k.shape[1], k.shape[-1]
-    if q.shape[-1] != d_k:
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError("fused path needs query dim == key dim")
     if block_rows < 1 or block_cols < 1:
         raise ValueError("block sizes must be >= 1")
-    if beta.shape[1] not in (1, c):
-        raise ShapeError(
-            f"gate holds {beta.shape[1]} channel slots but input has {c}")
-
-    memory, z = global_memory_np(phi_np(k), v)[:2]
-    out = global_attention_np(phi_np(q), memory, z, eps)[0]
-    local = _attend_tiles(q, k, v, 1.0 / np.sqrt(d_k), block_rows,
+    local = _attend_tiles(q, k, v, 1.0 / np.sqrt(k.shape[-1]), block_rows,
                           block_cols)
-    gate = sigmoid_np(beta)
-    out *= gate
-    out += (1.0 - gate) * local
-    return out
+    a_global = global_attention(q, *global_memory(k, v), eps)
+    return mix(local, a_global, sigmoid(np.asarray(beta, np.float64))).data

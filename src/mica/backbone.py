@@ -56,6 +56,12 @@ class ModelConfig:
         if min(self.d_model, self.n_heads, self.ff_hidden, self.d_k,
                self.d_v, self.patch_len, self.stride) < 1:
             raise ValueError("model dimensions must be positive")
+        if self.d_model % 2:
+            raise ValueError(f"d_model must be even for the sin/cos "
+                             f"positional encoding, got {self.d_model}")
+        if self.patch_len > self.input_size:
+            raise ValueError(f"patch_len {self.patch_len} exceeds input_size "
+                             f"{self.input_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.head_kind not in HEAD_KINDS:

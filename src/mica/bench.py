@@ -69,10 +69,17 @@ def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
         raise ValueError("mechanism 'mica' needs cfg.mica (model.mica = true)")
 
 
+def _check_costed(cfg: ModelConfig, n_channels: int, mechanism: str) -> None:
+    """What ``ForecastModel`` rejects, the cost formulas reject too."""
+    check_mechanisms(cfg, (mechanism,))
+    if n_channels < 1:
+        raise ValueError(f"n_channels must be positive, got {n_channels}")
+
+
 def count_flops(cfg: ModelConfig, n_channels: int,
                 mechanism: str) -> FlopReport:
     """Exact analytic FLOPs of one forward pass on a single window."""
-    check_mechanisms(cfg, (mechanism,))
+    _check_costed(cfg, n_channels, mechanism)
     c = n_channels
     p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
     d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
@@ -144,7 +151,7 @@ def count_flops(cfg: ModelConfig, n_channels: int,
 
 def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
     """Closed-form parameter count; must match the instantiated model."""
-    check_mechanisms(cfg, (mechanism,))
+    _check_costed(cfg, n_channels, mechanism)
     c = n_channels
     p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
     d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
@@ -268,15 +275,24 @@ class ScalingFit:
     costs: tuple
 
 
-def fit_scaling(sizes, costs) -> ScalingFit:
+def check_fit_sizes(sizes) -> None:
+    """Raise ``ValueError`` unless a sweep over ``sizes`` can be fitted:
+    called by ``fit_scaling``, and by ``mica bench`` before it sweeps."""
     sizes = np.asarray(sizes, dtype=np.float64)
-    costs = np.asarray(costs, dtype=np.float64)
     if sizes.size < 4:
         raise ValueError("need at least 4 sweep points for a scaling fit")
     if np.any(np.diff(sizes) <= 0):
         raise ValueError("sweep sizes must be strictly increasing")
-    if np.any(sizes <= 0) or np.any(costs <= 0):
-        raise ValueError("sizes and costs must be positive")
+    if np.any(sizes <= 0):
+        raise ValueError("sweep sizes must be positive")
+
+
+def fit_scaling(sizes, costs) -> ScalingFit:
+    check_fit_sizes(sizes)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    if np.any(costs <= 0):
+        raise ValueError("costs must be positive")
     lx, ly = np.log(sizes), np.log(costs)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
@@ -338,14 +354,15 @@ def sweep_lengths(cfg: ModelConfig, grid, mechanisms=MECHANISMS,
                   n_channels: int = 7, measure: bool = False,
                   repeats: int = 5, warmup: int = 1,
                   seed: int = 0) -> list[BenchRow]:
-    """Cost rows across input-window lengths at fixed channel count."""
+    """Cost rows across input-window lengths at fixed channel count; every
+    length's config is built, and so checked, before any is timed."""
     check_mechanisms(cfg, mechanisms)
+    configs = [replace(cfg, input_size=length) for length in grid]
     rows = []
     for mech in mechanisms:
-        for length in grid:
-            (row,) = sweep_channels(replace(cfg, input_size=length),
-                                    [n_channels], (mech,), measure, repeats,
-                                    warmup, seed)
+        for length, length_cfg in zip(grid, configs):
+            (row,) = sweep_channels(length_cfg, [n_channels], (mech,),
+                                    measure, repeats, warmup, seed)
             row.size = length
             rows.append(row)
     return rows

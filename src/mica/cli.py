@@ -25,7 +25,8 @@ import numpy as np
 from .attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
 from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
                        ModelConfig, config_digest, load_params, save_params)
-from .bench import MECHANISMS, fit_scaling, sweep_channels, sweep_lengths
+from .bench import (MECHANISMS, check_fit_sizes, fit_scaling, sweep_channels,
+                    sweep_lengths)
 from .data import ConfigError, PanelDataset, chrono_split, load_csv
 from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
                        predict, rmse, train)
@@ -323,6 +324,7 @@ def cmd_bench(args) -> int:
     mcfg = model_config_from(conf)
     mechanisms = conf["bench.mechanisms"]
     grid = list(conf["bench.grid"])
+    check_fit_sizes(grid)
     common = dict(mechanisms=mechanisms, measure=conf["bench.measure"],
                   repeats=conf["bench.repeats"], warmup=conf["bench.warmup"])
     if conf["bench.sweep"] == "C":

@@ -429,20 +429,14 @@ def phi(x) -> Tensor:
     return _make(out, "phi", (x,), backward)
 
 
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function on an ndarray without overflow in exp; the numpy
-    kernel behind ``sigmoid``."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(x) -> Tensor:
+    """Logistic function, without overflow in exp."""
     x = as_tensor(x)
-    out = sigmoid_np(x.data)
+    out = np.empty_like(x.data)
+    pos = x.data >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
+    ex = np.exp(x.data[~pos])
+    out[~pos] = ex / (1.0 + ex)
 
     def backward(g):
         if x.requires_grad:

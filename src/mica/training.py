@@ -43,6 +43,9 @@ class TrainConfig:
             raise ConfigError("need lr0 > 0 and 0 < lr_decay <= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct; repeated: {repeated}")
 
 
 @dataclass

@@ -234,9 +234,10 @@ def test_beta_gate_blend_and_bounds():
     a_l = local_attention(q, k, v)
     mem, z = global_memory(k, v)
     a_g = global_attention(q, mem, z)
-    mixed, g = gate(a_l, a_g)
+    g = gate(a_l, a_g)
+    assert g.shape == (1, 1, 2, 1, 1)
     assert np.all(g.data > 0) and np.all(g.data < 1)
-    npt.assert_allclose(mixed.data,
+    npt.assert_allclose(mix(a_l, a_g, g).data,
                         g.data * a_g.data + (1 - g.data) * a_l.data, atol=0)
     # init is centered across heads, so the blend starts near 50/50
     npt.assert_allclose(g.data.mean(), 0.5, atol=1e-2)
@@ -247,8 +248,36 @@ def test_beta_gate_channel_mismatch():
     gate = BetaGate(2, rng, n_channels=5)
     q, k, v = rand_qkv(rng)  # 3 channels
     a_l = local_attention(q, k, v)
+    with pytest.raises(ShapeError, match=r"\(1, 5, 2, 1, 1\).*\(2, 3, 2, 4"):
+        mix(a_l, a_l, gate(a_l, a_l))
+    # a block sharing a gate built for 5 channels rejects a 3-channel input
+    cfg = MicaConfig(n_heads=2, d_k=4, d_v=4, gate="channelwise_beta")
+    block = MicaAttention(8, cfg, rng, gate=gate)
     with pytest.raises(ShapeError):
-        gate(a_l, a_l)
+        block(Tensor(rng.normal(size=(2, 3, 5, 8))))
+
+
+def test_mix_rejects_a_weight_that_grows_the_output():
+    rng = np.random.default_rng(24)
+    a = Tensor(rng.normal(size=(2, 3, 2, 5, 4)))
+    for shape in [(1, 3, 2, 5, 4, 1), (2, 3, 2, 5, 2), (4, 1, 1, 1, 1)]:
+        with pytest.raises(ShapeError, match="does not fit"):
+            mix(a, a, Tensor(np.full(shape, 0.5)))
+    for shape in [(), (1, 3, 2, 1, 1), (2, 3, 2, 5, 1), (2, 3, 2, 5, 4)]:
+        assert mix(a, a, Tensor(np.full(shape, 0.5))).shape == a.shape
+
+
+def test_make_gate_channelwise_needs_channels():
+    rng = np.random.default_rng(25)
+    cfg = MicaConfig(n_heads=2, d_k=4, d_v=4, gate="channelwise_beta")
+    for build in (lambda: attention.make_gate(cfg, rng),
+                  lambda: MicaAttention(8, cfg, rng)):
+        with pytest.raises(ValueError,
+                           match="channelwise gate needs n_channels"):
+            build()
+    assert attention.make_gate(cfg, rng, 3).beta.shape == (1, 3, 2, 1, 1)
+    shared = MicaConfig(n_heads=2, d_k=4, d_v=4)
+    assert attention.make_gate(shared, rng).beta.shape == (1, 1, 2, 1, 1)
 
 
 def test_mix_override_endpoints_are_exact():
@@ -273,8 +302,8 @@ def test_mlp_gate_shapes_and_query_requirement():
                      mlp_layers=3)
     gate = MlpGate(cfg, rng)
     assert [lin.weight.shape for lin in gate.layers] == cfg.gate_layers
-    mixed, g = gate(a_l, a_g)
-    assert mixed.shape == a_l.shape
+    g = gate(a_l, a_g)
+    assert mix(a_l, a_g, g).shape == a_l.shape
     assert g.shape == (2, 3, 2, 4, 1)
     assert np.all((g.data > 0) & (g.data < 1))
 
@@ -282,8 +311,7 @@ def test_mlp_gate_shapes_and_query_requirement():
                       mlp_hidden=16)
     qgate = MlpGate(qcfg, rng)
     assert qcfg.gate_layers == [(2 * 4 + 2 * 4 + 2 * 4, 16), (16, 2)]
-    mixed_q, _ = qgate(a_l, a_g, q=q)
-    assert mixed_q.shape == a_l.shape
+    assert qgate(a_l, a_g, q=q).shape == (2, 3, 2, 4, 1)
     with pytest.raises(ValueError):
         qgate(a_l, a_g)
 
@@ -372,6 +400,20 @@ def test_fused_forward_rejects_gate_channel_mismatch():
         beta = rng.normal(size=(1, slots, 2, 1, 1))
         npt.assert_allclose(fused_forward(q.data, k.data, v.data, beta, 2, 2),
                             reference_mixed(q, k, v, beta), atol=1e-12)
+
+
+def test_fused_forward_with_one_key_tile_is_the_reference_graph():
+    # one (P x P) tile per leading index gives _attend's bits, and the
+    # global read, gate and blend are the graph's own ops
+    rng = np.random.default_rng(26)
+    p = 6
+    for slots in (1, 3):
+        q, k, v = rand_qkv(rng, b=2, c=3, n=2, p=p, dk=4, dv=5)
+        beta = rng.normal(size=(1, slots, 2, 1, 1))
+        want = reference_mixed(q, k, v, beta)
+        for br in (p, 2 * p):
+            npt.assert_allclose(fused_forward(q.data, k.data, v.data, beta,
+                                              br, p), want, rtol=0, atol=0)
 
 
 def test_fused_forward_keeps_phi_floor_where_exp_underflows():

@@ -108,6 +108,15 @@ def test_forward_input_validation():
         model.forward(rng.normal(size=(3, 16)))
 
 
+def test_config_rejects_unbuildable_models():
+    with pytest.raises(ValueError, match="d_model must be even"):
+        small_cfg(d_model=7)
+    with pytest.raises(ValueError, match="patch_len 17 exceeds input_size 16"):
+        small_cfg(patch_len=17)
+    # a patch as long as the window is one patch
+    assert ForecastModel(small_cfg(patch_len=16), n_channels=2).n_patches == 1
+
+
 def test_zero_layers_is_head_over_embeddings():
     cfg = small_cfg(n_layers=0)
     model = ForecastModel(cfg, n_channels=2, seed=0)

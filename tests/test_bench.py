@@ -6,9 +6,9 @@ from mica import bench
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
-                        count_flops, count_params, fit_scaling,
-                        measure_latency, set_blas_threads, sweep_channels,
-                        sweep_lengths)
+                        check_fit_sizes, count_flops, count_params,
+                        fit_scaling, measure_latency, set_blas_threads,
+                        sweep_channels, sweep_lengths)
 from mica.tensor import no_grad
 
 
@@ -110,6 +110,14 @@ def test_count_flops_validation():
         count_flops(cfg_with(), 4, "nope")
     with pytest.raises(ValueError):
         count_flops(cfg_with(mica=False), 4, "mica")
+
+
+@pytest.mark.parametrize("count", [count_flops, count_params])
+@pytest.mark.parametrize("mech", ["baseline", "mica", "concat"])
+def test_costs_reject_channel_counts_below_one(count, mech):
+    for c in (0, -3):
+        with pytest.raises(ValueError, match="n_channels must be positive"):
+            count(cfg_with(), c, mech)
 
 
 # -- quadratic reference -------------------------------------------------------------
@@ -224,6 +232,16 @@ def test_fit_scaling_recovers_exact_powers():
     npt.assert_allclose(lin.exponent, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(16, 8, 32, 64), (8, 16), (0, 8, 16, 32)])
+def test_fit_sizes_are_checked_by_one_function(sizes):
+    with pytest.raises(ValueError) as direct:
+        check_fit_sizes(sizes)
+    with pytest.raises(ValueError) as fitted:
+        fit_scaling(sizes, [1.0] * len(sizes))
+    assert str(fitted.value) == str(direct.value)
+    check_fit_sizes((8, 16, 32, 64))
+
+
 def test_fit_scaling_validation():
     with pytest.raises(ValueError):
         fit_scaling([1, 2, 3], [1, 2, 3])
@@ -267,6 +285,16 @@ def test_sweeps_check_every_mechanism_before_timing(monkeypatch, sweep,
         else:
             sweep_lengths(cfg, [16, 32], mechanisms, n_channels=2,
                           measure=True)
+    assert timed == []
+
+
+def test_length_sweep_checks_every_length_before_timing(monkeypatch):
+    timed = []
+    monkeypatch.setattr(bench, "measure_latency",
+                        lambda fn, **kw: timed.append(fn))
+    with pytest.raises(ValueError, match="patch_len 4 exceeds input_size 2"):
+        sweep_lengths(cfg_with(), [16, 2], ("baseline",), n_channels=2,
+                      measure=True)
     assert timed == []
 
 

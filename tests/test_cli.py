@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mica import cli
+from mica import bench, cli
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import count_flops, count_params
@@ -141,6 +141,34 @@ def test_parallel_seeds_must_be_positive(workspace, capsys, workers):
     assert main(["train", "--config", str(conf), "--out", str(out),
                  "--parallel-seeds", workers]) == 2
     assert "--parallel-seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_repeated_seeds(workspace, capsys):
+    tmp, conf = workspace
+    dup = tmp / "dup.conf"
+    dup.write_text(conf.read_text().replace("train.seeds = 1,2",
+                                            "train.seeds = 1,1"))
+    out = tmp / "dup_out"
+    assert main(["train", "--config", str(dup), "--out", str(out),
+                 "--parallel-seeds", "2"]) == 2
+    assert "repeated: [1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("model.d_model = 8", "model.d_model = 7", "d_model must be even"),
+    ("model.patch_len = 4", "model.patch_len = 9",
+     "patch_len 9 exceeds input_size 8"),
+])
+def test_train_rejects_unbuildable_model(workspace, capsys, old, new,
+                                         message):
+    tmp, conf = workspace
+    bad = tmp / "bad.conf"
+    bad.write_text(conf.read_text().replace(old, new))
+    out = tmp / "bad_out"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -323,6 +351,36 @@ def test_bench_rejects_mica_mechanism_without_mica(workspace, capsys):
     assert code == 2
     assert "model.mica" in capsys.readouterr().err
     assert not (tmp / "x").exists()
+
+
+@pytest.mark.parametrize("grid", ["16,8,32,64", "8,16", "0,8,16,32"])
+def test_bench_checks_grid_before_sweeping(workspace, capsys, monkeypatch,
+                                           grid):
+    tmp, conf = workspace
+    timed = []
+    monkeypatch.setattr(bench, "measure_latency",
+                        lambda fn, **kw: timed.append(fn))
+    bench_conf = tmp / "grid.conf"
+    bench_conf.write_text("model.horizon = 4\nmodel.input_size = 16\n"
+                          "model.d_model = 8\nmodel.mica = true\n"
+                          f"bench.grid = {grid}\nbench.measure = true\n")
+    out = tmp / "grid_out"
+    assert main(["bench", "--config", str(bench_conf),
+                 "--out", str(out)]) == 2
+    assert "sweep" in capsys.readouterr().err
+    assert timed == [] and not out.exists()
+
+
+def test_flops_rejects_zero_channels(workspace, capsys):
+    tmp, conf = workspace
+    fl_conf = tmp / "f0.conf"
+    fl_conf.write_text("model.horizon = 4\nmodel.mica = true\n"
+                       "bench.channels = 0\n")
+    out = tmp / "f0_out"
+    assert main(["flops", "--config", str(fl_conf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "n_channels must be positive" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_flops_command_prints_breakdown(workspace, capsys):

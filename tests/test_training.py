@@ -181,6 +181,8 @@ def test_train_config_validation():
         TrainConfig(seeds=())
     with pytest.raises(ConfigError):
         TrainConfig(windows_batch=0)
+    with pytest.raises(ConfigError, match=r"repeated: \[1, 3\]"):
+        TrainConfig(seeds=(3, 1, 2, 1, 3))
 
 
 QUICK_START_STEPS = """
