@@ -16,8 +16,8 @@ import numpy as np
 
 from .nn import Linear, Module, dropout
 from .tensor import (ShapeError, Tensor, _make, _unbroadcast, as_tensor,
-                     concat, gelu, phi_grad, phi_np, records, sigmoid,
-                     softmax_np)
+                     check_inputs, concat, gelu, phi_grad, phi_np, records,
+                     sigmoid, softmax_np)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -167,6 +167,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"query dim {q.shape[-1]} != key dim {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("key and value patch counts differ")
+    check_inputs(q, k, v)
     scale = 1.0 / np.sqrt(k.shape[-1])
     if q.shape[-2] > ROW_BLOCK and not records((q, k, v)):
         out = _attend_tiles(q.data, k.data, v.data, scale, ROW_BLOCK,
@@ -210,6 +211,7 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
     if k.shape[:-1] != v.shape[:-1]:
         raise ShapeError(f"keys {k.shape} and values {v.shape} differ "
                          "before the head dimension")
+    check_inputs(k, v, w)
     pk = phi_np(k.data)                              # (B,C,N,P,d_k)
     # each channel's unweighted write phi(K)^T V and sum_p phi(K)^T
     own_m = np.matmul(pk.swapaxes(-1, -2), v.data)   # (B,C,N,d_k,d_v)
@@ -261,6 +263,7 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
         raise ShapeError(
             f"query dim {q.shape[-1]} cannot address memory with "
             f"d_k={memory.shape[-2]}")
+    check_inputs(q, memory, z)
     pq = phi_np(q.data)                              # (B,C,N,P,d_k)
     den = np.matmul(pq, z.data)                      # phi(Q) z + eps
     den += eps
@@ -470,8 +473,9 @@ def fused_forward(q, k, v, beta, block_rows: int, block_cols: int,
     ``global_attention``, ``sigmoid`` and ``mix``) on ndarray inputs, except
     that each channel's local attention runs through ``_attend_tiles`` in
     (block_rows x block_cols) score tiles, so no P x P score matrix is ever
-    held.  With one (P x P) tile it is the reference bit for bit, and like
-    the reference it raises ``NonFiniteError`` on a non-finite value.
+    held.  With one (P x P) tile it is the reference bit for bit.  Its ops
+    are called directly, so each checks its output, and it raises
+    ``NonFiniteError`` on the first non-finite one.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if q.shape[-1] != k.shape[-1]:

@@ -20,7 +20,7 @@ import numpy as np
 from .attention import (AttentionOutput, LocalAttention, MicaAttention,
                         MicaConfig, make_gate)
 from .nn import FeedForward, LayerNorm, Linear, Module, dropout
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, checked_once
 
 HEAD_KINDS = ("shared_linear", "multivariate")
 
@@ -224,7 +224,14 @@ class ForecastModel(Module):
     def forward(self, y: np.ndarray, mix_override: float | None = None,
                 training: bool = False, rng=None,
                 collect: list | None = None) -> Tensor:
-        """(B,C,L) window -> (B,C,H) forecast in original units."""
+        """(B,C,L) window -> (B,C,H) forecast in original units.
+
+        While finite checks are on, the forecast is checked once
+        (``checked_once``).  If a check fails, the forward runs again with
+        per-op checks, from the same ``rng`` state and with ``collect``
+        cut back to its length on entry, so it raises the per-op
+        ``NonFiniteError`` or returns the per-op forecast.
+        """
         y = np.asarray(y, dtype=np.float64)
         cfg = self._cfg
         if y.ndim != 3:
@@ -235,6 +242,22 @@ class ForecastModel(Module):
         if y.shape[2] != cfg.input_size:
             raise ShapeError(
                 f"window length {y.shape[2]} != input_size {cfg.input_size}")
+        rng_state = None if rng is None else rng.bit_generator.state
+        n_collected = None if collect is None else len(collect)
+
+        def rewind():
+            if rng is not None:
+                rng.bit_generator.state = rng_state
+            if collect is not None:
+                del collect[n_collected:]
+
+        return checked_once(
+            lambda: self._forecast(y, mix_override, training, rng, collect),
+            rewind)
+
+    def _forecast(self, y: np.ndarray, mix_override, training: bool, rng,
+                  collect: list | None) -> Tensor:
+        cfg = self._cfg
         y_std, stats = standardize(y)
         tokens = patchify(y_std, cfg.patch_len, cfg.stride)
         h = self.embed(Tensor(tokens)) + self._posenc

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,10 +62,14 @@ def _softmax_flops(rows: int, width: int) -> int:
 
 
 def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
-    """Raise ``ValueError`` unless ``cfg`` can run each of ``mechanisms``."""
+    """Raise ``ValueError`` unless ``cfg`` can run each of ``mechanisms``,
+    each named once."""
     unknown = sorted(set(mechanisms) - set(MECHANISMS))
     if unknown:
         raise ValueError(f"unknown mechanisms {unknown}")
+    repeated = sorted(m for m, n in Counter(mechanisms).items() if n > 1)
+    if repeated:
+        raise ValueError(f"mechanisms {repeated} named more than once")
     if "mica" in mechanisms and cfg.mica is None:
         raise ValueError("mechanism 'mica' needs cfg.mica (model.mica = true)")
 

@@ -13,6 +13,16 @@ with ``_make`` like the ones here.  Every op computes its forward with the
 same numpy kernels (``softmax_np``, ``phi_np``, ...) whether or not it is
 taped; ``records`` tells an op whether it will be.
 
+Finite checks, on unless ``finite_checks(False)``, raise ``NonFiniteError``
+naming the first op that produced NaN or Inf.  An op called directly checks
+its output.  A whole forecast runs through ``checked_once`` instead, which
+checks once: its ops skip their output checks, except that the four ops
+that can map a non-finite input to a finite output (``local_attention``,
+``global_memory``, ``global_attention`` and ``sigmoid``) check their inputs,
+and the forecast is checked at the end.  Any other non-finite value spreads
+to the forecast.  Only when a check fails does the forecast run again with
+per-op checks, so the error, or the finite result, is the per-op one.
+
 A training step allocates and frees a few hundred MB of activations.  By
 default glibc hands that memory back to the kernel after every backward
 and faults it in again on the next step.  So at import, on glibc only,
@@ -37,7 +47,18 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised when an op produces NaN or Inf while finite checks are on."""
+    """Raised when an op produces NaN or Inf while finite checks are on,
+    naming that op.  Under ``checked_once`` it is raised by the per-op
+    replay, so it names the same op."""
+
+
+class _NonFiniteInput(Exception):
+    """An op that can absorb a non-finite input met one in a deferred pass."""
+
+
+# finite-check modes: none, every op's output, or (inside ``checked_once``)
+# only the inputs of the ops that can absorb a non-finite value
+_OFF, _EACH_OP, _DEFERRED = range(3)
 
 
 class _ThreadState(threading.local):
@@ -46,7 +67,7 @@ class _ThreadState(threading.local):
 
     def __init__(self):
         self.grad_enabled = True
-        self.finite_checks = True
+        self.checks = _EACH_OP
 
 
 _STATE = _ThreadState()
@@ -84,18 +105,62 @@ def no_grad():
 
 @contextlib.contextmanager
 def finite_checks(enabled: bool):
-    """Toggle NaN/Inf checking on op outputs inside the block."""
-    prev = _STATE.finite_checks
-    _STATE.finite_checks = enabled
+    """Toggle NaN/Inf checking inside the block (current thread only).
+    While on, each op checks its output, and ``checked_once`` (each
+    ``ForecastModel.forward``) checks the forecast once and replays with
+    per-op checks only when that check fails."""
+    prev = _STATE.checks
+    _STATE.checks = _EACH_OP if enabled else _OFF
     try:
         yield
     finally:
-        _STATE.finite_checks = prev
+        _STATE.checks = prev
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """The one finiteness test every check makes."""
+    return bool(np.isfinite(arr).all())
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _STATE.finite_checks and not np.isfinite(arr).all():
+    if _STATE.checks == _EACH_OP and not _all_finite(arr):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def check_inputs(*tensors: Tensor | None) -> None:
+    """Called by the ops that can map a non-finite input to a finite output
+    (softmax attention, phi and the phi(Q) z denominator, sigmoid): in a
+    ``checked_once`` pass, a non-finite input ends the pass, because the
+    final check could miss it.  ``None`` entries are skipped."""
+    if _STATE.checks == _DEFERRED and not all(
+            _all_finite(t.data) for t in tensors if t is not None):
+        raise _NonFiniteInput
+
+
+def checked_once(run: Callable[[], Tensor],
+                 rewind: Callable[[], None]) -> Tensor:
+    """``run()`` with its finite checks made once, not per op.
+
+    While checks are on, ``run`` first goes without per-op output checks;
+    only ``check_inputs`` and a final check of its result are made.  If
+    either finds a non-finite value, ``rewind()`` undoes the pass's side
+    effects (rng draws, collected outputs) and ``run`` goes again with
+    per-op checks: that raises the ``NonFiniteError`` a per-op run raises,
+    or returns its finite result.  With checks off, it is ``run()``.
+    """
+    if _STATE.checks != _EACH_OP:
+        return run()
+    _STATE.checks = _DEFERRED
+    try:
+        out = run()
+    except _NonFiniteInput:
+        out = None
+    finally:
+        _STATE.checks = _EACH_OP
+    if out is not None and _all_finite(out.data):
+        return out
+    rewind()
+    return run()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -430,13 +495,13 @@ def phi(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    """Logistic function, without overflow in exp."""
+    """Logistic function, without overflow in exp: with e = exp(-|x|),
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere (NaN included)."""
     x = as_tensor(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    check_inputs(x)
+    e = np.exp(-np.abs(x.data))
+    d = 1.0 + e
+    out = np.where(x.data >= 0.0, 1.0 / d, e / d)
 
     def backward(g):
         if x.requires_grad:

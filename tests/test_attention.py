@@ -9,7 +9,7 @@ from mica.attention import (ROW_BLOCK, AttentionOutput, BetaGate,
                             fused_forward, global_attention, global_memory,
                             local_attention, merge_heads, mix,
                             online_softmax_update, split_heads)
-from mica.tensor import ShapeError, Tensor, no_grad
+from mica.tensor import ShapeError, Tensor, checked_once, no_grad, sigmoid
 
 
 # -- brute-force oracles (independent loops, no library math) ----------------
@@ -375,7 +375,6 @@ def reference_mixed(q, k, v, beta, eps=1e-6):
     a_l = local_attention(q, k, v)
     mem, z = global_memory(k, v)
     a_g = global_attention(q, mem, z, eps=eps)
-    from mica.tensor import sigmoid
     return mix(a_l, a_g, sigmoid(Tensor(beta))).data
 
 
@@ -477,3 +476,37 @@ def test_fused_forward_rejects_bad_blocks():
     q, k, v = rand_qkv(rng)
     with pytest.raises(ValueError):
         fused_forward(q.data, k.data, v.data, np.zeros((1, 1, 2, 1, 1)), 0, 1)
+
+
+# -- the absorbing ops under a forecast's one finite check ---------------------
+
+def _absorbing_calls():
+    """Each op that maps a non-finite input to a finite output, called on
+    one: softmax weight 0 for a -inf score, phi's floor for -inf keys or
+    queries, and sigmoid(-inf) = 0."""
+    rng = np.random.default_rng(0)
+    q = np.abs(rng.normal(size=(1, 2, 1, 3, 4)))
+    k, v = rng.normal(size=(1, 2, 1, 3, 4)), rng.normal(size=(1, 2, 1, 3, 4))
+    k_bad, q_bad = k.copy(), q.copy()
+    k_bad[0, 1, 0, 2, 0] = -np.inf                   # q > 0: score -inf
+    q_bad[0, 0, 0, 1, :] = -np.inf
+    m, z = global_memory(Tensor(k), Tensor(v))
+    return {
+        "local_attention": lambda: local_attention(Tensor(q), Tensor(k_bad),
+                                                   Tensor(v)),
+        "global_memory": lambda: global_memory(Tensor(k_bad), Tensor(v))[0],
+        "global_attention": lambda: global_attention(Tensor(q_bad), m, z),
+        "sigmoid": lambda: sigmoid(Tensor([0.5, -np.inf])),
+    }
+
+
+@pytest.mark.parametrize("op", ["local_attention", "global_memory",
+                                "global_attention", "sigmoid"])
+def test_absorbing_op_input_check_forces_a_checked_replay(op):
+    call = _absorbing_calls()[op]
+    want = call().data                               # per-op checks: finite
+    assert np.all(np.isfinite(want))
+    passes = []
+    got = checked_once(lambda: passes.append(1) or call(), lambda: None)
+    assert len(passes) == 2
+    assert got.data.tobytes() == want.tobytes()

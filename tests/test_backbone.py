@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mica import backbone, tensor
 from mica.attention import MicaConfig
 from mica.backbone import (ForecastModel, IntegrityError, ModelConfig,
                            config_digest, destandardize, load_params,
                            patch_count, patch_indices, patchify, save_params,
                            sincos_table, standardize)
-from mica.tensor import ShapeError, Tensor, gather_last, no_grad
+from mica.tensor import (NonFiniteError, ShapeError, Tensor, finite_checks,
+                         gather_last, no_grad)
 
 
 def small_cfg(**over):
@@ -313,3 +315,153 @@ def test_load_state_validates_names_and_shapes():
     state.pop(next(iter(state)))
     with pytest.raises(KeyError):
         model.load_state(state)
+
+
+# -- finite checks: once per forecast, replayed per op on a failure -------------
+
+def quickstart_model(gate="shared_beta", dropout=0.0):
+    """The README quick-start model: C=7, L=96, H=24, d_model=64, 2 layers."""
+    cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                      n_heads=4, d_k=16, d_v=16, ff_hidden=128,
+                      dropout=dropout,
+                      mica=MicaConfig(n_heads=4, d_k=16, d_v=16, gate=gate,
+                                      mlp_dropout=dropout))
+    return ForecastModel(cfg, n_channels=7, seed=0)
+
+
+def quickstart_window(batch=1):
+    return np.random.default_rng(11).normal(size=(batch, 7, 96))
+
+
+@pytest.fixture
+def per_op(monkeypatch):
+    """Run ``fn`` with every op of the forward checking its output: the
+    per-op reference that a checked-once forward must reproduce."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(backbone, "checked_once", lambda run, rewind: run())
+            return fn()
+    return run
+
+
+def set_entry(path, index, value):
+    """Write ``value`` into one entry of the array at ``path`` (or into the
+    window, for path ``window``)."""
+    def inject(model, window):
+        if path == "window":
+            window[index] = value
+            return
+        obj = model
+        for part in path.split("."):
+            obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+        obj.data[index] = value
+    return inject
+
+
+def outcome(model, window, training=False, rng=None):
+    try:
+        with no_grad():
+            return model.forward(window, training=training, rng=rng).data
+    except NonFiniteError as err:
+        return str(err)
+
+
+FAULTS = [
+    ("shared_beta", set_entry("layers.0.attn.w_k.weight", (3, 5), np.inf),
+     "matmul"),
+    # every entry of one key column at -1e308 overflows to -inf (or NaN)
+    ("shared_beta", set_entry("layers.0.attn.w_k.weight", (slice(None), 2),
+                              -1e308), "matmul"),
+    ("shared_beta", set_entry("layers.1.attn.w_out.weight", (2, 2), np.nan),
+     "matmul"),
+    ("shared_beta", set_entry("window", (0, 2, 10), np.nan), "matmul"),
+    ("mlp", set_entry("gates.0.layers.1.weight", (3, 1), np.inf), "matmul"),
+    # a NaN parameter reaches sigmoid, one of the absorbing ops, directly
+    ("shared_beta", set_entry("gates.0.beta", (0, 0, 1, 0, 0), np.nan),
+     "sigmoid"),
+    # finite scores too large for exp: local attention is the first to fail
+    ("shared_beta", set_entry("embed.weight", (0, 0), 1e200),
+     "local_attention"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gate, inject, op", FAULTS)
+def test_non_finite_forward_raises_the_per_op_error(per_op, gate, inject,
+                                                    op):
+    model, window = quickstart_model(gate), quickstart_window()
+    inject(model, window)
+    want = per_op(lambda: outcome(model, window))
+    assert want == f"non-finite values produced by op '{op}'"
+    assert outcome(model, window) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_absorbed_inf_gives_the_per_op_forecast(per_op):
+    # sigmoid(+inf) = 1: no op output is non-finite, so nothing raises
+    model, window = quickstart_model(), quickstart_window(batch=2)
+    set_entry("gates.0.beta", (0, 0, 3, 0, 0), np.inf)(model, window)
+    want = per_op(lambda: outcome(model, window))
+    got = outcome(model, window)
+    assert np.all(np.isfinite(want))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replayed_training_forward_redraws_the_same_dropout(per_op,
+                                                            monkeypatch):
+    # the pass ends at layer 1's gate, after layer 0 has drawn its masks
+    model = quickstart_model("layerwise_beta", dropout=0.2)
+    window = quickstart_window(batch=4)
+    set_entry("gates.1.beta", (0, 0, 2, 0, 0), np.inf)(model, window)
+    rng_want = np.random.default_rng(3)
+    want = per_op(lambda: outcome(model, window, True, rng_want))
+    passes = []
+    forecast = ForecastModel._forecast
+    monkeypatch.setattr(ForecastModel, "_forecast",
+                        lambda *a: passes.append(1) or forecast(*a))
+    rng = np.random.default_rng(3)
+    got = outcome(model, window, True, rng)
+    assert len(passes) == 2                          # the pass and its replay
+    assert np.all(np.isfinite(want))
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replayed_forward_collects_one_entry_per_layer():
+    # the pass ends at layer 1's gate, after collecting layer 0
+    model, window = quickstart_model("layerwise_beta"), quickstart_window()
+    set_entry("gates.1.beta", (0, 0, 0, 0, 0), np.inf)(model, window)
+    grabbed = ["earlier"]
+    with no_grad():
+        model.forward(window, collect=grabbed)
+    assert grabbed[0] == "earlier"
+    assert len(grabbed) == 1 + len(model.layers)
+    assert all(res.a_mixed.shape == (1, 7, 4, 12, 16) for res in grabbed[1:])
+
+
+@pytest.mark.parametrize("gate", ["shared_beta", "layerwise_channelwise_beta",
+                                  "mlp", "mlp_query"])
+def test_forecast_bits_do_not_depend_on_finite_checks(gate):
+    model, window = quickstart_model(gate), quickstart_window(batch=3)
+    with no_grad():
+        on = model.forward(window).data
+        with finite_checks(False):
+            off = model.forward(window).data
+    assert on.tobytes() == off.tobytes()
+
+
+def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):
+    counted = []
+    all_finite = tensor._all_finite
+    monkeypatch.setattr(tensor, "_all_finite",
+                        lambda arr: counted.append(1) or all_finite(arr))
+    model, window = quickstart_model(), quickstart_window()
+    per_op(lambda: outcome(model, window))
+    assert len(counted) == 56                        # one per op
+    counted.clear()
+    outcome(model, window)
+    # per layer: local_attention q, k, v; global_memory k, v;
+    # global_attention q, M, z; sigmoid beta; then the forecast once
+    assert len(counted) == 2 * (3 + 2 + 3 + 1) + 1

@@ -353,6 +353,22 @@ def test_bench_rejects_mica_mechanism_without_mica(workspace, capsys):
     assert not (tmp / "x").exists()
 
 
+def test_bench_and_flops_reject_a_repeated_mechanism(workspace, capsys):
+    tmp, conf = workspace
+    rep_conf = tmp / "rep.conf"
+    rep_conf.write_text("model.horizon = 4\nmodel.input_size = 16\n"
+                        "model.d_model = 8\nmodel.mica = true\n"
+                        "bench.grid = 2,4,8,16\nbench.measure = false\n"
+                        "bench.mechanisms = mica,baseline,mica\n")
+    for cmd in ("bench", "flops"):
+        out = tmp / f"{cmd}_out"
+        assert main([cmd, "--config", str(rep_conf), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "['mica'] named more than once" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["16,8,32,64", "8,16", "0,8,16,32"])
 def test_bench_checks_grid_before_sweeping(workspace, capsys, monkeypatch,
                                            grid):

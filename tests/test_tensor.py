@@ -51,6 +51,30 @@ def test_phi_keeps_nan_so_finite_checks_see_it():
         phi(Tensor([0.0, np.nan]))
 
 
+def _sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """sigmoid as boolean-masked branches: the reference formula."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sigmoid_matches_masked_branches_bit_for_bit():
+    edges = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0,
+                      1e-300, -1e-300, 36.0, -36.0, 710.0, -746.0])
+    rng = np.random.default_rng(0)
+    for x in (edges, rng.normal(scale=20.0, size=(64, 7, 12, 4)),
+              rng.normal(size=(1, 1, 4, 1, 1)), np.array(-3.5)):
+        with finite_checks(False):
+            got = sigmoid(Tensor(x)).data
+        assert got.shape == x.shape
+        npt.assert_allclose(got, _sigmoid_masked(np.atleast_1d(x))
+                            .reshape(x.shape), rtol=0, atol=0)
+
+
 def test_matmul_known_values():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
