@@ -226,11 +226,11 @@ class ForecastModel(Module):
                 collect: list | None = None) -> Tensor:
         """(B,C,L) window -> (B,C,H) forecast in original units.
 
-        While finite checks are on, the forecast is checked once
-        (``checked_once``).  If a check fails, the forward runs again with
-        per-op checks, from the same ``rng`` state and with ``collect``
-        cut back to its length on entry, so it raises the per-op
-        ``NonFiniteError`` or returns the per-op forecast.
+        The forecast is checked for NaN/Inf once (``checked_once``).  If
+        a check fails, the forward runs again with per-op checks, from the
+        same ``rng`` state and with ``collect`` cut back to its length on
+        entry, so it raises the per-op ``NonFiniteError`` or returns the
+        per-op forecast.
         """
         y = np.asarray(y, dtype=np.float64)
         cfg = self._cfg

@@ -28,6 +28,7 @@ from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
 from .bench import (MECHANISMS, check_fit_sizes, fit_scaling, sweep_channels,
                     sweep_lengths)
 from .data import ConfigError, PanelDataset, chrono_split, load_csv
+from .tensor import NonFiniteError
 from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
                        predict, rmse, train)
 
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError) as err:
+    except (RuntimeError, OSError, NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -100,18 +100,21 @@ def _parse_value(text: str, path, line_no: int) -> float:
     if text == "" or text.lower() in ("nan", "na"):
         return np.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(
             f"{path}:{line_no}: cannot parse value {text!r}") from None
+    if np.isinf(value):
+        raise ConfigError(f"{path}:{line_no}: value {text!r} is not finite")
+    return value
 
 
 def _parse_column(cells, parse, path, line_nos) -> np.ndarray:
     """One column as float64: a single ``float`` pass over every cell, and
     only if that raises or leaves a non-finite value, ``parse`` cell by
-    cell (NA, empty cells, ISO timestamps, a non-finite timestamp, or a
-    bad cell).  Whatever ``float`` accepts, ``parse`` maps to the same
-    value or rejects."""
+    cell (NA, empty cells, ISO timestamps, an infinite value or
+    timestamp, or a bad cell).  Whatever ``float`` accepts, ``parse`` maps
+    to the same value or rejects."""
     try:
         column = np.fromiter(map(float, cells), np.float64, len(cells))
         if np.isfinite(column).all():
@@ -179,7 +182,8 @@ def load_csv(path, layout: str = "wide",
     ``wide``: header ``timestamp,<id>,<id>,...``, one row per time step.
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
     every channel must cover the identical time grid.  Timestamps are
-    numbers or ISO dates, and must be finite.
+    numbers or ISO dates, and must be finite.  A value is a number, never
+    infinite, or ``NA``, ``nan`` or an empty cell for a missing one.
 
     Blank lines are skipped, and errors name the physical ``path:line``.
     Of several faults, the one on the earliest line is reported, except
@@ -319,13 +323,12 @@ def _ar1(innovations: np.ndarray, coeff: float) -> np.ndarray:
 
 
 def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
-                seed: int, ar_coeff: float = 0.9, season_period: int = 24,
-                season_amp: float = 1.0) -> PanelDataset:
+                seed: int) -> PanelDataset:
     """Channel 0 drives; channel c repeats it delayed by c*lag plus noise.
 
-    The driver is AR(1) plus a sinusoidal seasonal term, so followers are
-    predictable from other channels' history but not from their own alone
-    once the delay exceeds the input window.
+    The driver is AR(1) with coefficient 0.9 plus a unit sinusoid of
+    period 24, so followers are predictable from other channels' history
+    but not from their own alone once the delay exceeds the input window.
     """
     if n_channels < 2:
         raise ConfigError("lead-lag panel needs at least 2 channels")
@@ -334,8 +337,8 @@ def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
     rng = np.random.default_rng(seed)
     burn = 100
     total = n_steps + (n_channels - 1) * lag + burn
-    driver = _ar1(rng.normal(0.0, 1.0, size=total), ar_coeff)
-    driver += season_amp * np.sin(2 * np.pi * np.arange(total) / season_period)
+    driver = _ar1(rng.normal(0.0, 1.0, size=total), 0.9)
+    driver += np.sin(2 * np.pi * np.arange(total) / 24)
     offset = burn + (n_channels - 1) * lag
     values = np.empty((n_channels, n_steps))
     values[0] = driver[offset:offset + n_steps]
@@ -348,16 +351,16 @@ def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
     return PanelDataset(values=values, channel_ids=ids)
 
 
-def gen_independent(n_channels: int, n_steps: int, seed: int,
-                    ar_coeff: float = 0.8) -> PanelDataset:
-    """Independent AR(1) channels; nothing cross-channel to exploit."""
+def gen_independent(n_channels: int, n_steps: int, seed: int) -> PanelDataset:
+    """Independent AR(1) channels with coefficient 0.8; nothing
+    cross-channel to exploit."""
     if n_channels < 1 or n_steps < 1:
         raise ConfigError("n_channels and n_steps must be positive")
     rng = np.random.default_rng(seed)
     burn = 100
     values = np.empty((n_channels, n_steps))
     for c in range(n_channels):
-        series = _ar1(rng.normal(0.0, 1.0, size=n_steps + burn), ar_coeff)
+        series = _ar1(rng.normal(0.0, 1.0, size=n_steps + burn), 0.8)
         values[c] = series[burn:]
     ids = [f"ch{c}" for c in range(n_channels)]
     return PanelDataset(values=values, channel_ids=ids)

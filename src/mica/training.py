@@ -3,7 +3,9 @@
 Loss is mean absolute error in the original data units (the backbone
 de-standardizes before returning), validated every ``val_check_every``
 steps on a fixed tiling of the validation split.  The best-validation
-parameters are restored before test metrics are computed.
+parameters are restored before test metrics are computed.  Every forward
+and loss op is checked for NaN/Inf; the first one found ends the run with
+``TrainingDivergedError``, which names the op.
 """
 from __future__ import annotations
 
@@ -13,14 +15,15 @@ import numpy as np
 
 from .backbone import ForecastModel
 from .data import ConfigError, PanelDataset
-from .tensor import ShapeError, Tensor, finite_checks, no_grad, tabs
+from .tensor import NonFiniteError, ShapeError, Tensor, no_grad, tabs
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became NaN/Inf; carries the offending step index."""
+    """A step's forward, loss or validation check went NaN/Inf; carries
+    the step index, and its message names the first op that did."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite training loss at step {step}")
+    def __init__(self, step: int, detail: str):
+        super().__init__(f"training diverged at step {step}: {detail}")
         self.step = step
 
 
@@ -206,15 +209,13 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
     checks_since_best = 0
     steps_run = 0
 
-    with finite_checks(False):
+    try:
         for step in range(cfg.max_steps):
             ctx, tgt = sample_windows(panel, input_size, horizon,
                                       cfg.windows_batch, rng)
             pred = model.forward(ctx, training=True, rng=rng)
             loss = mae_loss(tgt, pred)
             loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise TrainingDivergedError(step)
             model.zero_grad()
             loss.backward()
             opt.step(lr_at(step, cfg))
@@ -235,6 +236,8 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
                     checks_since_best += 1
                     if checks_since_best >= cfg.early_stop_patience:
                         break
+    except NonFiniteError as err:
+        raise TrainingDivergedError(step, str(err)) from err
 
     if best_state is not None:
         model.load_state(best_state)

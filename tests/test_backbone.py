@@ -2,14 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica import backbone, tensor
+from mica import tensor
 from mica.attention import MicaConfig
 from mica.backbone import (ForecastModel, IntegrityError, ModelConfig,
                            config_digest, destandardize, load_params,
                            patch_count, patch_indices, patchify, save_params,
                            sincos_table, standardize)
-from mica.tensor import (NonFiniteError, ShapeError, Tensor, finite_checks,
-                         gather_last, no_grad)
+from mica.tensor import (NonFiniteError, ShapeError, Tensor, gather_last,
+                         no_grad)
 
 
 def small_cfg(**over):
@@ -333,17 +333,6 @@ def quickstart_window(batch=1):
     return np.random.default_rng(11).normal(size=(batch, 7, 96))
 
 
-@pytest.fixture
-def per_op(monkeypatch):
-    """Run ``fn`` with every op of the forward checking its output: the
-    per-op reference that a checked-once forward must reproduce."""
-    def run(fn):
-        with monkeypatch.context() as m:
-            m.setattr(backbone, "checked_once", lambda run, rewind: run())
-            return fn()
-    return run
-
-
 def set_entry(path, index, value):
     """Write ``value`` into one entry of the array at ``path`` (or into the
     window, for path ``window``)."""
@@ -443,13 +432,12 @@ def test_replayed_forward_collects_one_entry_per_layer():
 
 @pytest.mark.parametrize("gate", ["shared_beta", "layerwise_channelwise_beta",
                                   "mlp", "mlp_query"])
-def test_forecast_bits_do_not_depend_on_finite_checks(gate):
+def test_forecast_bits_do_not_depend_on_finite_checks(per_op, gate):
     model, window = quickstart_model(gate), quickstart_window(batch=3)
     with no_grad():
-        on = model.forward(window).data
-        with finite_checks(False):
-            off = model.forward(window).data
-    assert on.tobytes() == off.tobytes()
+        once = model.forward(window).data
+        each_op = per_op(lambda: model.forward(window).data)
+    assert once.tobytes() == each_op.tobytes()
 
 
 def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from mica import bench, cli
 from mica.attention import MicaConfig
-from mica.backbone import ForecastModel, ModelConfig
+from mica.backbone import (ForecastModel, ModelConfig, config_digest,
+                           save_params)
 from mica.bench import count_flops, count_params
 from mica.cli import (main, model_config_from, parse_config,
                       train_config_from)
@@ -282,6 +283,22 @@ def test_eval_checks_digest_and_writes_outputs(workspace, capsys):
     assert code == 3
     assert "does not match" in capsys.readouterr().err
     assert not (tmp / "e2").exists()
+
+
+def test_eval_of_non_finite_parameters_exits_1_with_one_line(workspace,
+                                                            capsys):
+    tmp, conf = workspace
+    mcfg = model_config_from(parse_config(conf))
+    model = ForecastModel(mcfg, n_channels=2, seed=0)
+    model.parameters()[0].data[0] = np.nan
+    params = tmp / "nan.bin"
+    save_params(params, model, config_digest(mcfg, 2))
+    code = main(["eval", "--config", str(conf), "--params", str(params),
+                 "--out", str(tmp / "eval_out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: non-finite values produced "
+                                       "by op 'matmul'\n")
+    assert not (tmp / "eval_out").exists()
 
 
 def test_eval_runs_each_split_through_the_model_once(workspace,

@@ -106,6 +106,22 @@ def test_non_finite_timestamps_name_their_line(tmp_path, layout, stamp):
         load("0,1", "1,oops", f"{stamp},3")
 
 
+@pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_infinite_values_name_their_line(tmp_path, layout, cell):
+    path = tmp_path / "values.csv"
+    if layout == "wide":
+        path.write_text(f"timestamp,a,b\n0,1.0,2.0\n1,{cell},3.0\n")
+        line = 3
+    else:
+        path.write_text(f"id,ts,value\na,0,1.0\nb,0,2.0\na,1,{cell}\n"
+                        "b,1,3.0\n")
+        line = 4
+    with pytest.raises(ConfigError, match=rf"values\.csv:{line}: value "
+                       f"'{cell}' is not finite"):
+        load_csv(path, layout=layout)
+
+
 def test_errors_name_physical_lines_past_blank_rows(tmp_path):
     wide = tmp_path / "wide.csv"
     wide.write_text("timestamp,a\n0,1.0\n\n1,2.0\n2,oops\n")

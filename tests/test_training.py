@@ -11,6 +11,7 @@ import pytest
 
 import mica
 
+from mica import tensor, training
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.data import ConfigError, PanelDataset, chrono_split, gen_leadlag
@@ -150,6 +151,53 @@ def test_divergence_aborts_with_step_index():
     with pytest.raises(TrainingDivergedError) as err:
         train(model, panel, cfg, seed=1)
     assert err.value.step == 0
+    assert str(err.value) == ("training diverged at step 0: non-finite "
+                              "values produced by op 'matmul'")
+
+
+def test_nan_written_by_the_last_step_is_caught_by_its_validation(
+        monkeypatch):
+    # at the last step, only the validation forward sees the NaN parameter;
+    # its metrics must not come from an earlier best state
+    model = tiny_model()
+    step = Adam.step
+
+    def poisoned(self, lr):
+        step(self, lr)
+        if self.t == 4:
+            self.params[0].data[0] = np.nan
+
+    monkeypatch.setattr(Adam, "step", poisoned)
+    cfg = TrainConfig(windows_batch=4, max_steps=4, val_check_every=2)
+    with pytest.raises(TrainingDivergedError, match="'matmul'") as err:
+        train(model, tiny_panel(), cfg, seed=1)
+    assert err.value.step == 3
+
+
+def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
+        monkeypatch):
+    cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                      n_heads=4, d_k=16, d_v=16, ff_hidden=128,
+                      mica=MicaConfig(n_heads=4, d_k=16, d_v=16))
+    model = ForecastModel(cfg, 7, seed=1)
+    panel = chrono_split(gen_leadlag(7, 400, lag=2, noise_sigma=0.1, seed=0),
+                         val_size=40, test_size=40)
+    counted, per_step = [], []
+    all_finite = tensor._all_finite
+    monkeypatch.setattr(tensor, "_all_finite",
+                        lambda arr: counted.append(1) or all_finite(arr))
+    sample = training.sample_windows
+    monkeypatch.setattr(training, "sample_windows",
+                        lambda *a: counted.clear() or sample(*a))
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, lr: per_step.append(
+        len(counted)) or step(self, lr))
+    train(model, panel, TrainConfig(windows_batch=2, max_steps=2,
+                                    val_check_every=5), seed=0)
+    # the forward as in test_backbone (per layer: local_attention q, k, v;
+    # global_memory k, v; global_attention q, M, z; sigmoid beta; then the
+    # forecast), then the loss's sub, abs, sum and mul, each per op
+    assert per_step == [2 * (3 + 2 + 3 + 1) + 1 + 4] * 2
 
 
 def test_train_frees_each_step_before_the_next_forward():
@@ -211,12 +259,11 @@ def step():
 
 
 faults = []
-with tensor.finite_checks(False):
-    for _ in range(5):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        step()
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                      - before)
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before)
 print(tensor.HEAP_PAGES_KEPT, *faults)
 """
 
