@@ -20,7 +20,7 @@ import numpy as np
 from .attention import (AttentionOutput, LocalAttention, MicaAttention,
                         MicaConfig, make_gate)
 from .nn import FeedForward, LayerNorm, Linear, Module, dropout
-from .tensor import ShapeError, Tensor, checked_once
+from .tensor import ShapeError, Tensor, _check_finite, checked_once
 
 HEAD_KINDS = ("shared_linear", "multivariate")
 
@@ -121,6 +121,8 @@ def standardize(y: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     y = np.asarray(y, dtype=np.float64)
     mean = y.mean(axis=-1, keepdims=True)
     std = np.maximum(y.std(axis=-1, keepdims=True), 1e-8)
+    # a bad window can standardize to finite values; a NaN mean gives a NaN std
+    _check_finite(std, "standardize")
     return (y - mean) / std, InstanceStats(mean=mean, std=std)
 
 
@@ -227,10 +229,10 @@ class ForecastModel(Module):
         """(B,C,L) window -> (B,C,H) forecast in original units.
 
         The forecast is checked for NaN/Inf once (``checked_once``).  If
-        a check fails, the forward runs again with per-op checks, from the
-        same ``rng`` state and with ``collect`` cut back to its length on
-        entry, so it raises the per-op ``NonFiniteError`` or returns the
-        per-op forecast.
+        a check fails, the forward runs again with per-op checks, so it
+        raises the per-op ``NonFiniteError`` or returns the per-op
+        forecast.  Nothing is rewound: each run restores the ``rng`` state
+        and cuts ``collect`` back to the length they had on entry.
         """
         y = np.asarray(y, dtype=np.float64)
         cfg = self._cfg
@@ -245,15 +247,14 @@ class ForecastModel(Module):
         rng_state = None if rng is None else rng.bit_generator.state
         n_collected = None if collect is None else len(collect)
 
-        def rewind():
+        def run():
             if rng is not None:
                 rng.bit_generator.state = rng_state
             if collect is not None:
                 del collect[n_collected:]
+            return self._forecast(y, mix_override, training, rng, collect)
 
-        return checked_once(
-            lambda: self._forecast(y, mix_override, training, rng, collect),
-            rewind)
+        return checked_once(run)
 
     def _forecast(self, y: np.ndarray, mix_override, training: bool, rng,
                   collect: list | None) -> Tensor:

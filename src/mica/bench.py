@@ -276,8 +276,6 @@ class ScalingFit:
     """Least-squares slope of log(cost) against log(size)."""
     exponent: float
     r2: float
-    sizes: tuple
-    costs: tuple
 
 
 def check_fit_sizes(sizes) -> None:
@@ -304,8 +302,7 @@ def fit_scaling(sizes, costs) -> ScalingFit:
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(exponent=float(slope), r2=r2, sizes=tuple(sizes),
-                      costs=tuple(costs))
+    return ScalingFit(exponent=float(slope), r2=r2)
 
 
 # -- sweeps -------------------------------------------------------------------------

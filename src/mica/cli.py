@@ -246,11 +246,11 @@ def cmd_train(args) -> int:
     tcfg = train_config_from(conf)
     digest = config_digest(mcfg, panel.n_channels)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def run_seed(seed: int) -> TrainReport:
         model = ForecastModel(mcfg, panel.n_channels, seed=seed)
         report = train(model, panel, tcfg, seed)
+        out.mkdir(parents=True, exist_ok=True)
         save_params(out / f"params_seed{seed}.bin", model, digest)
         _write_csv(out / f"report_seed{seed}.csv",
                    ["record", "step", "mae", "rmse"], _report_rows(report))
@@ -288,7 +288,11 @@ def cmd_eval(args) -> int:
             f"parameter file digest {stored[:12]}... does not match the "
             f"configured model ({expected[:12]}...); refusing to evaluate")
     model = ForecastModel(mcfg, panel.n_channels, seed=0)
-    model.load_state(arrays)
+    try:
+        model.load_state(arrays)
+    except (KeyError, ValueError) as err:
+        raise IntegrityError(f"parameter file does not fit the configured "
+                             f"model: {err.args[0]}") from None
 
     ctx, tgt = eval_windows(panel, mcfg.input_size, mcfg.horizon, "test")
     pred = predict(model, ctx)

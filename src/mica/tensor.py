@@ -22,7 +22,8 @@ ops that can map a non-finite input to a finite output
 ``sigmoid``) check their inputs, and the forecast is checked at the end.
 Any other non-finite value spreads to the forecast.  Only when a check
 fails does the forecast run again with per-op checks, so the error, or the
-finite result, is the per-op one.
+finite result, is the per-op one.  Nothing is rewound in between: a
+forecast must be repeatable, restoring any rng or list it changes.
 
 A training step allocates and frees a few hundred MB of activations.  By
 default glibc hands that memory back to the kernel after every backward
@@ -51,10 +52,6 @@ class NonFiniteError(FloatingPointError):
     """Raised when an op produces NaN or Inf, naming that op.  Under
     ``checked_once`` it is raised by the per-op replay, so it names the
     same op."""
-
-
-class _NonFiniteInput(Exception):
-    """An op that can absorb a non-finite input met one in a deferred pass."""
 
 
 class _ThreadState(threading.local):
@@ -116,32 +113,30 @@ def check_inputs(*tensors: Tensor | None) -> None:
     final check could miss it.  ``None`` entries are skipped."""
     if _STATE.deferred and not all(
             _all_finite(t.data) for t in tensors if t is not None):
-        raise _NonFiniteInput
+        raise NonFiniteError("non-finite input to an absorbing op")
 
 
-def checked_once(run: Callable[[], Tensor],
-                 rewind: Callable[[], None]) -> Tensor:
+def checked_once(run: Callable[[], Tensor]) -> Tensor:
     """``run()`` with its finite checks made once, not per op.
 
     ``run`` first goes without per-op output checks; only ``check_inputs``
     and a final check of its result are made.  If either finds a
-    non-finite value, ``rewind()`` undoes the pass's side effects (rng
-    draws, collected outputs) and ``run`` goes again with per-op checks:
-    that raises the ``NonFiniteError`` a per-op run raises, or returns its
-    finite result.  Inside a pass already deferred, it is ``run()``.
+    non-finite value, ``run`` goes again with per-op checks: that raises
+    the ``NonFiniteError`` a per-op run raises, or returns its finite
+    result.  Nothing is undone in between, so ``run`` must be repeatable:
+    a second call must start from the state the first one did.  Inside a
+    pass already deferred, it is ``run()``.
     """
-    if _STATE.deferred:
-        return run()
-    _STATE.deferred = True
-    try:
-        out = run()
-    except _NonFiniteInput:
-        out = None
-    finally:
-        _STATE.deferred = False
-    if out is not None and _all_finite(out.data):
-        return out
-    rewind()
+    if not _STATE.deferred:
+        _STATE.deferred = True
+        try:
+            out = run()
+            if _all_finite(out.data):
+                return out
+        except NonFiniteError:
+            pass
+        finally:
+            _STATE.deferred = False
     return run()
 
 

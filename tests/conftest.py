@@ -9,7 +9,7 @@ def per_op(monkeypatch):
     per-op reference that a checked-once forward must reproduce."""
     def run(fn):
         with monkeypatch.context() as m:
-            m.setattr(backbone, "checked_once", lambda run, rewind: run())
+            m.setattr(backbone, "checked_once", lambda run: run())
             return fn()
     return run
 

@@ -299,7 +299,7 @@ def test_config_digest_sensitivity():
      "302e296e70c833769112f7e129cd5d61f41a4cd35be0be1eaa55c43934c6a47d"),
     ("mlp_query",
      "108395a79f773d8bb1d11be63adb2e4d1a902b88edcf99b0e4cafde365ca3427"),
-])
+], ids=["shared_beta", "mlp_query"])    # no hex id for ``-k`` to match
 def test_config_digest_is_pinned(gate, digest):
     # saved parameter files carry this digest, so it must never drift: the
     # README quick-start model (C=7) with its own gate and an mlp_query one
@@ -363,7 +363,7 @@ FAULTS = [
                               -1e308), "matmul"),
     ("shared_beta", set_entry("layers.1.attn.w_out.weight", (2, 2), np.nan),
      "matmul"),
-    ("shared_beta", set_entry("window", (0, 2, 10), np.nan), "matmul"),
+    ("shared_beta", set_entry("window", (0, 2, 10), np.nan), "standardize"),
     ("mlp", set_entry("gates.0.layers.1.weight", (3, 1), np.inf), "matmul"),
     # a NaN parameter reaches sigmoid, one of the absorbing ops, directly
     ("shared_beta", set_entry("gates.0.beta", (0, 0, 1, 0, 0), np.nan),
@@ -382,6 +382,18 @@ def test_non_finite_forward_raises_the_per_op_error(per_op, gate, inject,
     inject(model, window)
     want = per_op(lambda: outcome(model, window))
     assert want == f"non-finite values produced by op '{op}'"
+    assert outcome(model, window) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e200, np.nan, np.inf])
+def test_a_bad_window_is_named_by_standardize(per_op, value):
+    # 1e200 overflows the variance, so the window standardizes to finite
+    # zeros; NaN and inf poison the mean, and so the std
+    model, window = quickstart_model(), quickstart_window()
+    window[0, 2, 10] = value
+    want = "non-finite values produced by op 'standardize'"
+    assert per_op(lambda: outcome(model, window)) == want
     assert outcome(model, window) == want
 
 
@@ -447,7 +459,7 @@ def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):
                         lambda arr: counted.append(1) or all_finite(arr))
     model, window = quickstart_model(), quickstart_window()
     per_op(lambda: outcome(model, window))
-    assert len(counted) == 56                        # one per op
+    assert len(counted) == 57               # one per op, and the window std
     counted.clear()
     outcome(model, window)
     # per layer: local_attention q, k, v; global_memory k, v;

@@ -13,6 +13,7 @@ from mica.bench import count_flops, count_params
 from mica.cli import (main, model_config_from, parse_config,
                       train_config_from)
 from mica.data import ConfigError, gen_leadlag, write_csv
+from mica.tensor import Tensor
 from mica.training import TrainConfig
 
 TINY_CONF = """\
@@ -299,6 +300,48 @@ def test_eval_of_non_finite_parameters_exits_1_with_one_line(workspace,
     assert capsys.readouterr().err == ("error: non-finite values produced "
                                        "by op 'matmul'\n")
     assert not (tmp / "eval_out").exists()
+
+
+@pytest.mark.parametrize("mismatch", ["renamed", "reshaped"])
+def test_eval_of_mismatched_parameter_arrays_exits_3_with_one_line(
+        workspace, capsys, mismatch):
+    # the digest matches, but the arrays do not fit the configured model
+    tmp, conf = workspace
+    mcfg = model_config_from(parse_config(conf))
+    model = ForecastModel(mcfg, n_channels=2, seed=0)
+    head = vars(model.head)
+    if mismatch == "renamed":
+        head["weights"] = head.pop("weight")
+    else:
+        head["bias"] = Tensor(np.zeros(3), requires_grad=True)
+    params = tmp / f"{mismatch}.bin"
+    save_params(params, model, config_digest(mcfg, 2))
+    code = main(["eval", "--config", str(conf), "--params", str(params),
+                 "--out", str(tmp / "eval_out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: parameter file does not fit the "
+                          "configured model: ")
+    assert err.count("\n") == 1
+    assert not (tmp / "eval_out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_diverges_on_its_first_seed_leaves_no_output(tmp_path,
+                                                                capsys):
+    # one cell at 1e308 in the validation split: the first check diverges
+    panel = gen_leadlag(2, 120, lag=2, noise_sigma=0.1, seed=5)
+    panel.values[1, 90] = 1e308
+    data = tmp_path / "panel.csv"
+    write_csv(panel, data)
+    conf = tmp_path / "run.conf"
+    conf.write_text(TINY_CONF.format(data=data))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged at step 2: non-finite values produced "
+        "by op 'standardize'\n")
+    assert not out.exists()
 
 
 def test_eval_runs_each_split_through_the_model_once(workspace,
