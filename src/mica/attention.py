@@ -213,6 +213,8 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
                          "before the head dimension")
     check_inputs(k, v, w)
     pk = phi_np(k.data)                              # (B,C,N,P,d_k)
+    # d phi(K) / dK, computed once for both ops when the tape needs it
+    dpk = phi_grad(pk) if records((k,)) else None
     # each channel's unweighted write phi(K)^T V and sum_p phi(K)^T
     own_m = np.matmul(pk.swapaxes(-1, -2), v.data)   # (B,C,N,d_k,d_v)
     own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
@@ -242,13 +244,13 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
             v._accumulate(np.matmul(pk, g), owned=True)
         if k.requires_grad:
             gk = np.matmul(v.data, g.swapaxes(-1, -2))
-            gk *= phi_grad(pk)
+            gk *= dpk
             k._accumulate(gk, owned=True)
 
     def backward_z(g):
         g = own_grad(g, own_z)                       # (B,1|C,N,d_k,1)
         if k.requires_grad:
-            k._accumulate(g.swapaxes(-1, -2) * phi_grad(pk), owned=True)
+            k._accumulate(g.swapaxes(-1, -2) * dpk, owned=True)
 
     extra = () if w is None else (w,)
     return (_make(m, "global_memory", (k, v) + extra, backward_m),
@@ -267,7 +269,8 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
     pq = phi_np(q.data)                              # (B,C,N,P,d_k)
     den = np.matmul(pq, z.data)                      # phi(Q) z + eps
     den += eps
-    out = np.matmul(pq, memory.data) / den
+    out = np.matmul(pq, memory.data)
+    out /= den
 
     def backward(g):
         gn = g / den                                 # d numerator

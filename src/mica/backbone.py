@@ -148,8 +148,8 @@ class EncoderLayer(Module):
                  rng=None) -> tuple[Tensor, AttentionOutput]:
         res = self.attn(x, mix_override=mix_override, training=training,
                         rng=rng)
-        h = self.norm1(x + dropout(res.out, self._p_drop, training, rng))
-        out = self.norm2(h + dropout(self.ffn(h), self._p_drop, training, rng))
+        h = self.norm1(x, dropout(res.out, self._p_drop, training, rng))
+        out = self.norm2(h, dropout(self.ffn(h), self._p_drop, training, rng))
         return out, res
 
 

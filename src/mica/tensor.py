@@ -5,13 +5,14 @@ scalar walks the tape in reverse topological order and accumulates gradients
 into ``.grad`` buffers.  The op vocabulary is deliberately small: matmul
 (with an optional bias, so x @ W + b is one op), elementwise arithmetic
 with broadcasting, softmax over the last axis, the positive feature map
-phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over the last axis,
-reductions, and shape ops (reshape / swapaxes / concat / gather).  The
-attention block's four pieces (local attention, the global memory, its
-read, and the gate mix) are ops of their own in ``attention.py``, built
-with ``_make`` like the ones here.  Every op computes its forward with the
-same numpy kernels (``softmax_np``, ``phi_np``, ...) whether or not it is
-taped; ``records`` tells an op whether it will be.
+phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over the last axis (with
+an optional residual added first), reductions, and shape ops (reshape /
+swapaxes / concat / gather).  The attention block's four pieces (local
+attention, the global memory, its read, and the gate mix) are ops of their
+own in ``attention.py``, built with ``_make`` like the ones here.  Every op
+computes its forward with the same numpy kernels (``softmax_np``,
+``phi_np``, ...) whether or not it is taped; ``records`` tells an op
+whether it will be.
 
 Finite checks are always on and raise ``NonFiniteError`` naming the first
 op that produced NaN or Inf.  An op called directly checks its output.  A
@@ -61,6 +62,9 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.grad_enabled = True
         self.deferred = False      # inside a ``checked_once`` pass
+        # arrays ``check_inputs`` found finite in this pass, by id; holding
+        # them keeps their ids from being reused until the pass ends
+        self.tested: dict[int, np.ndarray] = {}
 
 
 _STATE = _ThreadState()
@@ -110,10 +114,18 @@ def check_inputs(*tensors: Tensor | None) -> None:
     """Called by the ops that can map a non-finite input to a finite output
     (softmax attention, phi and the phi(Q) z denominator, sigmoid): in a
     ``checked_once`` pass, a non-finite input ends the pass, because the
-    final check could miss it.  ``None`` entries are skipped."""
-    if _STATE.deferred and not all(
-            _all_finite(t.data) for t in tensors if t is not None):
-        raise NonFiniteError("non-finite input to an absorbing op")
+    final check could miss it.  Each array is tested once per pass, so q,
+    k and v, read by several of these ops, cost one test each.  ``None``
+    entries are skipped."""
+    if not _STATE.deferred:
+        return
+    tested = _STATE.tested
+    for t in tensors:
+        if t is None or id(t.data) in tested:
+            continue
+        if not _all_finite(t.data):
+            raise NonFiniteError("non-finite input to an absorbing op")
+        tested[id(t.data)] = t.data
 
 
 def checked_once(run: Callable[[], Tensor]) -> Tensor:
@@ -137,6 +149,7 @@ def checked_once(run: Callable[[], Tensor]) -> Tensor:
             pass
         finally:
             _STATE.deferred = False
+            _STATE.tested.clear()
     return run()
 
 
@@ -487,37 +500,54 @@ def sigmoid(x) -> Tensor:
     return _make(out, "sigmoid", (x,), backward)
 
 
-def layer_norm(x, gain, shift, eps: float) -> Tensor:
+def layer_norm(x, gain, shift, eps: float, residual=None) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale
-    by ``gain`` and add ``shift`` (both of shape ``(x.shape[-1],)``)."""
+    by ``gain`` and add ``shift`` (both of shape ``(x.shape[-1],)``).
+
+    With ``residual``, of ``x``'s shape, it normalizes ``x + residual``:
+    the residual add of a transformer sublayer is part of this one op, and
+    both inputs share its input gradient, as they would share an add's."""
     x, gain, shift = as_tensor(x), as_tensor(gain), as_tensor(shift)
     if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
         raise ShapeError(f"layer_norm over {x.shape} needs gain and shift "
                          f"of shape {x.shape[-1:]}, got {gain.shape} and "
                          f"{shift.shape}")
+    parents = (x,)
     # means are sums times 1/n, as ``tmean`` computes them
     inv_n = 1.0 / x.shape[-1]
-    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * inv_n
-                  + eps)
+    if residual is None:
+        normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    else:
+        residual = as_tensor(residual)
+        if residual.shape != x.shape:
+            raise ShapeError(f"layer_norm residual of shape {residual.shape} "
+                             f"does not match its input {x.shape}")
+        parents += (residual,)
+        normed = x.data + residual.data
+        normed -= normed.sum(axis=-1, keepdims=True) * inv_n
+    out = normed * normed
+    std = np.sqrt(out.sum(axis=-1, keepdims=True) * inv_n + eps)
     normed /= std
-    out = normed * gain.data + shift.data
+    np.multiply(normed, gain.data, out=out)
+    out += shift.data
 
     def backward(g):
-        if x.requires_grad:
+        if any(p.requires_grad for p in parents):
             # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
             gh = g * gain.data
             dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
             gh *= normed
             dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
             dx /= std
-            x._accumulate(dx, owned=True)
+            for p in parents:                        # x, and the residual
+                if p.requires_grad:
+                    p._accumulate(dx, owned=len(parents) == 1)
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
         if shift.requires_grad:
             shift._accumulate(_unbroadcast(g, shift.shape))
 
-    return _make(out, "layer_norm", (x, gain, shift), backward)
+    return _make(out, "layer_norm", parents + (gain, shift), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -2,6 +2,16 @@ import pytest
 
 from mica import backbone, tensor
 
+# criteria 6 (the channel-scaling wall clock) and 8 (the lead-lag training
+# runs) take minutes; ``-m "not slow"`` leaves them out
+SLOW_TESTS = ("test_criterion_06_", "test_criterion_08_")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name.startswith(SLOW_TESTS):
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture
 def per_op(monkeypatch):

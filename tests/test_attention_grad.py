@@ -127,9 +127,10 @@ def test_attention_ops_match_composed_oracle(weight_mode, exclusion):
                             err_msg=name)
 
 
-def test_quick_start_forward_records_at_most_56_ops():
+def test_quick_start_forward_records_at_most_52_ops():
     # the README quick-start model; every op of a forward with gradients on
-    # is an interior node of the graph under its output
+    # is an interior node of the graph under its output (each residual add
+    # is part of its layer_norm node)
     cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
                       n_heads=4, d_k=16, d_v=16, ff_hidden=128,
                       mica=MicaConfig(n_heads=4, d_k=16, d_v=16))
@@ -143,4 +144,4 @@ def test_quick_start_forward_records_at_most_56_ops():
         seen.add(id(node))
         ops += node._backward is not None
         stack.extend(node._parents)
-    assert ops <= 56, ops
+    assert ops <= 52, ops

@@ -459,9 +459,11 @@ def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):
                         lambda arr: counted.append(1) or all_finite(arr))
     model, window = quickstart_model(), quickstart_window()
     per_op(lambda: outcome(model, window))
-    assert len(counted) == 57               # one per op, and the window std
+    assert len(counted) == 53               # one per op, and the window std
     counted.clear()
     outcome(model, window)
-    # per layer: local_attention q, k, v; global_memory k, v;
-    # global_attention q, M, z; sigmoid beta; then the forecast once
-    assert len(counted) == 2 * (3 + 2 + 3 + 1) + 1
+    # each array once: per layer, local_attention q, k, v and
+    # global_attention M, z (global_memory's k, v and the read's q are
+    # tested already); sigmoid's beta, one array shared by both layers;
+    # then the forecast
+    assert len(counted) == 2 * (3 + 2) + 1 + 1

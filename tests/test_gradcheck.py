@@ -47,6 +47,7 @@ def test_gradcheck_every_op_in_vocabulary():
         z = mix.swapaxes(0, 1).reshape(2, 6)
         denom = sqrt((z * z).mean(axis=-1, keepdims=True) + 0.5)
         z = layer_norm(z, gain, shift, 1e-5)
+        z = layer_norm(z, gain, shift, 1e-5, residual=concat([g, m], -1))
         return (softmax_lastdim(z / denom) * phi(z) + sigmoid(z)).sum()
 
     report = gradcheck(f, {"a": a, "b": b, "gain": gain, "shift": shift})

@@ -245,6 +245,31 @@ def test_layer_norm_matches_composed_ops():
         layer_norm(Tensor(xs), Tensor(np.ones(5)), Tensor(np.zeros(8)), 1e-5)
 
 
+def test_layer_norm_with_residual_is_layer_norm_of_the_sum():
+    # the folded residual add gives the bits of add then layer_norm, in the
+    # output and in every gradient
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=(2, 3, 5, 8)) * 3.0 + 1e3,
+              rng.normal(size=(2, 3, 5, 8)), rng.normal(size=8),
+              rng.normal(size=8)]
+    w = Tensor(rng.normal(size=(2, 3, 5, 8)))
+    runs = []
+    for fold in (True, False):
+        x, r, gain, shift = (Tensor(a.copy(), requires_grad=True)
+                             for a in arrays)
+        if fold:
+            out = layer_norm(x, gain, shift, 1e-5, residual=r)
+        else:
+            out = layer_norm(x + r, gain, shift, 1e-5)
+        (out * w).sum().backward()
+        runs.append([out.data, x.grad, r.grad, gain.grad, shift.grad])
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError, match="residual"):
+        layer_norm(Tensor(arrays[0]), Tensor(arrays[2]), Tensor(arrays[3]),
+                   1e-5, residual=Tensor(arrays[1][:1]))
+
+
 def test_gelu_matches_pow_cube_formula():
     # x*x*x and x**3 may differ by an ulp; 1 + tanh cancels for x < -3 and
     # amplifies that in relative terms where gelu is ~1e-5, so the bound

@@ -12,13 +12,14 @@ import pytest
 import mica
 
 from mica import tensor, training
-from mica.attention import MicaConfig
+from mica.attention import GATE_KINDS, MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.data import ConfigError, PanelDataset, chrono_split, gen_leadlag
-from mica.tensor import ShapeError, Tensor
+from mica.tensor import NonFiniteError, ShapeError, Tensor, no_grad
 from mica.training import (Adam, TrainConfig, TrainingDivergedError,
                            eval_windows, evaluate, lr_at, mae, mae_loss,
-                           rmse, sample_windows, train)
+                           predict, rmse, sample_windows, train,
+                           windows_per_forward)
 
 
 def tiny_model(**over):
@@ -194,10 +195,10 @@ def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
         len(counted)) or step(self, lr))
     train(model, panel, TrainConfig(windows_batch=2, max_steps=2,
                                     val_check_every=5), seed=0)
-    # the forward as in test_backbone (per layer: local_attention q, k, v;
-    # global_memory k, v; global_attention q, M, z; sigmoid beta; then the
-    # forecast), then the loss's sub, abs, sum and mul, each per op
-    assert per_step == [2 * (3 + 2 + 3 + 1) + 1 + 4] * 2
+    # the forward as in test_backbone (each array once: per layer,
+    # local_attention q, k, v and global_attention M, z; the shared beta;
+    # then the forecast), then the loss's sub, abs, sum and mul, per op
+    assert per_step == [2 * (3 + 2) + 1 + 1 + 4] * 2
 
 
 def test_train_frees_each_step_before_the_next_forward():
@@ -218,6 +219,82 @@ def test_train_frees_each_step_before_the_next_forward():
     train(model, panel, TrainConfig(windows_batch=4, max_steps=4,
                                     val_check_every=2, seeds=(0,)), seed=0)
     assert alive == [[], [False], [False] * 2, [False] * 3]
+
+
+def quickstart_model(mica: dict | None, concat: bool = False, **over):
+    """The README quick-start model; ``mica`` holds MicaConfig fields, or
+    is None for the local-only backbone."""
+    heads = dict(n_heads=4, d_k=16, d_v=16)
+    cfg = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                      ff_hidden=128, **heads, **over,
+                      mica=None if mica is None else MicaConfig(**heads,
+                                                                **mica))
+    return ForecastModel(cfg, 7, seed=1, concat=concat)
+
+
+PREDICT_MODELS = {
+    **{gate: ({"gate": gate}, {}) for gate in GATE_KINDS},
+    "static": ({"weight_mode": "static"}, {}),
+    "dynamic": ({"gate": "mlp_query", "weight_mode": "dynamic"}, {}),
+    "exclusion": ({"exclusion": True}, {}),
+    "multivariate": ({}, {"head_kind": "multivariate"}),
+    "concat": (None, {"concat": True}),
+}
+
+
+def forward_sizes(model, monkeypatch) -> list:
+    """Record the window count of every forward of ``model``."""
+    sizes, forward = [], model.forward
+    monkeypatch.setattr(model, "forward",
+                        lambda y: sizes.append(len(y)) or forward(y))
+    return sizes
+
+
+@pytest.mark.parametrize("name", PREDICT_MODELS)
+def test_predict_in_window_groups_is_one_whole_batch_forward(
+        name, monkeypatch):
+    mica_kw, over = PREDICT_MODELS[name]
+    model = quickstart_model(mica_kw, **over)
+    ctx = np.random.default_rng(5).normal(size=(30, 7, 96)) * 3.0 + 1.0
+    with no_grad():
+        want = model.forward(ctx).data
+    sizes = forward_sizes(model, monkeypatch)
+    got = predict(model, ctx)
+    group = windows_per_forward(model, 64)           # 12, 8 for mlp_query
+    assert sizes == [group] * (30 // group) + [30 % group]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_windows_per_forward_fit_the_cache_budget(monkeypatch):
+    model = quickstart_model({})
+    assert windows_per_forward(model, 64) == 12
+    assert windows_per_forward(model, 5) == 5
+    sizes = forward_sizes(model, monkeypatch)
+    predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
+    assert sizes == [5, 5, 1]
+    # criterion 6's THIN model at C=512 takes one window per forward
+    thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
+                       n_heads=2, ff_hidden=64, d_k=16, d_v=16,
+                       mica=MicaConfig(n_heads=2, d_k=16, d_v=16))
+    assert windows_per_forward(ForecastModel(thin, 512), 64) == 1
+    # an mlp gate's widest layer counts: 4 heads x 3 x 16 = 192 inputs
+    assert windows_per_forward(quickstart_model({"gate": "mlp_query"}),
+                               64) == 8
+    with pytest.raises(ConfigError, match="batch"):
+        windows_per_forward(model, 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_window_in_a_later_group_raises_the_whole_batch_error():
+    model = quickstart_model({})
+    ctx = np.random.default_rng(6).normal(size=(30, 7, 96))
+    ctx[15, 3, 40] = np.nan                          # in the second group
+    with no_grad(), pytest.raises(NonFiniteError) as whole:
+        model.forward(ctx)
+    with pytest.raises(NonFiniteError) as grouped:
+        predict(model, ctx)
+    assert str(grouped.value) == str(whole.value)
+    assert "'standardize'" in str(grouped.value)
 
 
 def test_train_config_validation():
