@@ -176,9 +176,9 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     out, attn = _attend(q.data, k.data, v.data, scale)
 
     def backward(g):
+        gq = gk = gv = None
         if v.requires_grad:
-            gv = np.matmul(attn.swapaxes(-1, -2), g)
-            v._accumulate(_unbroadcast(gv, v.shape), owned=True)
+            gv = _unbroadcast(np.matmul(attn.swapaxes(-1, -2), g), v.shape)
         if q.requires_grad or k.requires_grad:
             # d scores = attn * (d attn - sum(d attn * attn)) * scale
             gs = np.matmul(g, v.data.swapaxes(-1, -2))
@@ -186,11 +186,11 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             gs *= attn
             gs *= scale
             if q.requires_grad:
-                q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape),
-                              owned=True)
+                gq = _unbroadcast(np.matmul(gs, k.data), q.shape)
             if k.requires_grad:
-                gk = np.matmul(gs.swapaxes(-1, -2), q.data)
-                k._accumulate(_unbroadcast(gk, k.shape), owned=True)
+                gk = _unbroadcast(np.matmul(gs.swapaxes(-1, -2), q.data),
+                                  k.shape)
+        return gq, gk, gv
 
     return _make(out, "local_attention", (q, k, v), backward)
 
@@ -227,30 +227,29 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
         m, z = m - wm, z - wz
 
     def own_grad(g, own):
-        """Gradient of one channel's unweighted write from that of M or z;
-        adds the weights' share on the way."""
+        """Gradient of one channel's unweighted write from that of M or z,
+        and the weights' gradient entry: () without weights."""
         if exclusion:
             g = g.sum(axis=1, keepdims=True) - g
         if w is None:
-            return g
+            return g, ()
+        gw = None
         if w.requires_grad:
-            gw = (g * own).sum(axis=(-2, -1), keepdims=True)
-            w._accumulate(_unbroadcast(gw, w.shape), owned=True)
-        return g * w.data
+            gw = _unbroadcast((g * own).sum(axis=(-2, -1), keepdims=True),
+                              w.shape)
+        return g * w.data, (gw,)
 
     def backward_m(g):
-        g = own_grad(g, own_m)                       # (B,1|C,N,d_k,d_v)
-        if v.requires_grad:
-            v._accumulate(np.matmul(pk, g), owned=True)
+        g, gw = own_grad(g, own_m)                   # (B,1|C,N,d_k,d_v)
+        gk = None
         if k.requires_grad:
             gk = np.matmul(v.data, g.swapaxes(-1, -2))
             gk *= dpk
-            k._accumulate(gk, owned=True)
+        return (gk, np.matmul(pk, g) if v.requires_grad else None) + gw
 
     def backward_z(g):
-        g = own_grad(g, own_z)                       # (B,1|C,N,d_k,1)
-        if k.requires_grad:
-            k._accumulate(g.swapaxes(-1, -2) * dpk, owned=True)
+        g, gw = own_grad(g, own_z)                   # (B,1|C,N,d_k,1)
+        return (g.swapaxes(-1, -2) * dpk if k.requires_grad else None,) + gw
 
     extra = () if w is None else (w,)
     return (_make(m, "global_memory", (k, v) + extra, backward_m),
@@ -275,19 +274,19 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
     def backward(g):
         gn = g / den                                 # d numerator
         gd = (gn * out).sum(axis=-1, keepdims=True)  # minus d denominator
+        gq = gm = gz = None
         if q.requires_grad:
             gq = np.matmul(gn, memory.data.swapaxes(-1, -2))
             gq -= gd * z.data.swapaxes(-1, -2)
             gq *= phi_grad(pq)
-            q._accumulate(gq, owned=True)
         pq_t = pq.swapaxes(-1, -2)
         if memory.requires_grad:
-            memory._accumulate(
-                _unbroadcast(np.matmul(pq_t, gn), memory.shape), owned=True)
+            gm = _unbroadcast(np.matmul(pq_t, gn), memory.shape)
         if z.requires_grad:
             gz = np.matmul(pq_t, gd)
             np.negative(gz, out=gz)
-            z._accumulate(_unbroadcast(gz, z.shape), owned=True)
+            gz = _unbroadcast(gz, z.shape)
+        return gq, gm, gz
 
     return _make(out, "global_attention", (q, memory, z), backward)
 
@@ -305,14 +304,12 @@ def mix(a_local: Tensor, a_global: Tensor, gate_weight) -> Tensor:
     out += (1.0 - gw.data) * al.data
 
     def backward(g):
-        if ag.requires_grad:
-            ag._accumulate(_unbroadcast(g * gw.data, ag.shape), owned=True)
-        if al.requires_grad:
-            al._accumulate(_unbroadcast(g * (1.0 - gw.data), al.shape),
-                           owned=True)
-        if gw.requires_grad:
-            gg = g * (ag.data - al.data)
-            gw._accumulate(_unbroadcast(gg, gw.shape), owned=True)
+        return (_unbroadcast(g * (1.0 - gw.data), al.shape)
+                if al.requires_grad else None,
+                _unbroadcast(g * gw.data, ag.shape)
+                if ag.requires_grad else None,
+                _unbroadcast(g * (ag.data - al.data), gw.shape)
+                if gw.requires_grad else None)
 
     return _make(out, "mix", (al, ag, gw), backward)
 

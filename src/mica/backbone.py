@@ -117,11 +117,15 @@ class InstanceStats:
 
 
 def standardize(y: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
-    """Zero-mean unit-variance per (window, channel); std floored at 1e-8."""
+    """Zero-mean unit-variance per (window, channel); std floored at 1e-8.
+    Each (window, channel) is scaled exactly by 2^-e, e the exponent of its
+    largest magnitude, before the moments, so no finite window overflows."""
     y = np.asarray(y, dtype=np.float64)
-    mean = y.mean(axis=-1, keepdims=True)
-    std = np.maximum(y.std(axis=-1, keepdims=True), 1e-8)
-    # a bad window can standardize to finite values; a NaN mean gives a NaN std
+    e = np.frexp(np.abs(y).max(axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(y, -e)
+    mean = np.ldexp(scaled.mean(axis=-1, keepdims=True), e)
+    std = np.maximum(np.ldexp(scaled.std(axis=-1, keepdims=True), e), 1e-8)
+    # a NaN or inf gives a NaN std: name the window, not a later op
     _check_finite(std, "standardize")
     return (y - mean) / std, InstanceStats(mean=mean, std=std)
 

@@ -2,14 +2,17 @@
 
 Every op records a backward closure on a tape; calling ``backward()`` on a
 scalar walks the tape in reverse topological order and accumulates gradients
-into ``.grad`` buffers.  The op vocabulary is deliberately small: matmul
-(with an optional bias, so x @ W + b is one op), elementwise arithmetic
-with broadcasting, softmax over the last axis, the positive feature map
-phi(x) = ELU(x) + 1, sigmoid, gelu, layer_norm over the last axis (with
-an optional residual added first), reductions, and shape ops (reshape /
-swapaxes / concat / gather).  The attention block's four pieces (local
-attention, the global memory, its read, and the gate mix) are ops of their
-own in ``attention.py``, built with ``_make`` like the ones here.  Every op
+into ``.grad`` buffers.  A backward closure returns, per parent, None, a
+view of its incoming gradient, or an array it built; ``Tensor.backward``
+alone adds them up and decides which gradient buffers it may write.  The
+op vocabulary is deliberately small: matmul (with an optional bias, so
+x @ W + b is one op), elementwise arithmetic with broadcasting, softmax
+over the last axis, the positive feature map phi(x) = ELU(x) + 1,
+sigmoid, gelu, layer_norm over the last axis (with an optional residual
+added first), reductions, and shape ops (reshape / swapaxes / concat /
+gather).  The attention block's four pieces (local attention, the global
+memory, its read, and the gate mix) are ops of their own in
+``attention.py``, built with ``_make`` like the ones here.  Every op
 computes its forward with the same numpy kernels (``softmax_np``,
 ``phi_np``, ...) whether or not it is taped; ``records`` tells an op
 whether it will be.
@@ -201,13 +204,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``.grad``.
+    def _accumulate(self, g: np.ndarray, owned: bool) -> None:
+        """Add ``g`` into ``.grad``; called only by ``backward``.
 
-        ``owned`` means the backward closure built ``g`` fresh; otherwise
-        it may be a view of an upstream gradient or a read-only broadcast.
-        A leaf (no ``_backward``) takes an owned first gradient as is and
-        copies any other, so parameters and inputs always own a writable
+        A backward closure returns, per parent, None, a view of its
+        incoming gradient, or an array it built.  ``owned`` means ``g`` is
+        such a built array, which nothing else holds; otherwise it may be a
+        view, an array lent to another parent too, or read-only.  A leaf
+        (no ``_backward``) takes an owned first gradient as is and copies
+        any other, so parameters and inputs always own a writable
         ``.grad``.  An interior node borrows its first gradient whatever
         it is, and never writes into a borrowed one: a later contribution
         replaces it with an owned sum, built in the incoming array when
@@ -234,7 +239,12 @@ class Tensor:
         """Backpropagate from a scalar; accumulates into ``.grad`` buffers.
 
         Interior grads are reset first, so each call propagates only its
-        own seed; leaf grads keep accumulating until ``zero_grad``.  Every
+        own seed; leaf grads keep accumulating until ``zero_grad``.  Each
+        closure returns, per parent, None, a view of its incoming gradient,
+        or an array it built, and they are added in parent order.  An entry
+        is owned, so ``_accumulate`` may write into it, unless it is
+        read-only or ``np.may_share_memory`` says it may overlap the
+        incoming gradient or another entry of the same tuple.  Every
         interior node receives all its contributions before its closure
         lends views of its grad to its parents, and the next call rebinds
         rather than mutates that grad, so a lent buffer is never written.
@@ -262,8 +272,18 @@ class Tensor:
                 node.grad = None
         self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            g = node.grad
+            grads = node._backward(g)
+            if len(grads) != len(node._parents):
+                raise ShapeError(f"a backward returned {len(grads)} gradients "
+                                 f"for {len(node._parents)} inputs")
+            for i, (p, pg) in enumerate(zip(node._parents, grads)):
+                if pg is not None:
+                    p._accumulate(pg, owned=pg.flags.writeable and not any(
+                        o is not None and np.may_share_memory(pg, o)
+                        for o in (g, *grads[:i], *grads[i + 1:])))
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -332,10 +352,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, "add", (a, b), backward)
 
@@ -345,10 +363,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(out, "sub", (a, b), backward)
 
@@ -358,10 +374,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(out, "mul", (a, b), backward)
 
@@ -371,11 +385,9 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                       b.shape), owned=True)
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None)
 
     return _make(out, "div", (a, b), backward)
 
@@ -402,24 +414,21 @@ def matmul(a, b, bias=None) -> Tensor:
         out += bias.data
 
     def backward(g):
-        if b.ndim == 2:
-            # activation @ weight: each gradient is one 2-D GEMM over the
-            # flattened leading axes, with no broadcast sum for the weight
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
-            if b.requires_grad:
-                a2 = a.data.reshape(-1, a.shape[-1])
-                b._accumulate(a2.T @ g2, owned=True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.shape), owned=True)
-            return
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+        if b.ndim != 2:
+            return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)),
+                                 a.shape) if a.requires_grad else None,
+                    _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g),
+                                 b.shape) if b.requires_grad else None)
+        # activation @ weight: each gradient is one 2-D GEMM over the
+        # flattened leading axes, with no broadcast sum for the weight
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                 a.data.reshape(-1, a.shape[-1]).T @ g2
+                 if b.requires_grad else None)
+        if bias is None:
+            return grads
+        return grads + (_unbroadcast(g, bias.shape)
+                        if bias.requires_grad else None,)
 
     return _make(out, "matmul", parents, backward)
 
@@ -444,10 +453,9 @@ def softmax_lastdim(x) -> Tensor:
     out = softmax_np(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            # d softmax: y * (g - sum(g * y))
-            gy = (g * out).sum(axis=-1, keepdims=True)
-            x._accumulate(out * (g - gy), owned=True)
+        # d softmax: y * (g - sum(g * y))
+        gy = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - gy),)
 
     return _make(out, "softmax", (x,), backward)
 
@@ -478,8 +486,7 @@ def phi(x) -> Tensor:
     out = phi_np(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * phi_grad(out), owned=True)
+        return (g * phi_grad(out),)
 
     return _make(out, "phi", (x,), backward)
 
@@ -494,8 +501,7 @@ def sigmoid(x) -> Tensor:
     out = np.where(x.data >= 0.0, 1.0 / d, e / d)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * out * (1.0 - out), owned=True)
+        return (g * out * (1.0 - out),)
 
     return _make(out, "sigmoid", (x,), backward)
 
@@ -532,6 +538,7 @@ def layer_norm(x, gain, shift, eps: float, residual=None) -> Tensor:
     out += shift.data
 
     def backward(g):
+        dx = None
         if any(p.requires_grad for p in parents):
             # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
             gh = g * gain.data
@@ -539,13 +546,10 @@ def layer_norm(x, gain, shift, eps: float, residual=None) -> Tensor:
             gh *= normed
             dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
             dx /= std
-            for p in parents:                        # x, and the residual
-                if p.requires_grad:
-                    p._accumulate(dx, owned=len(parents) == 1)
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
-        if shift.requires_grad:
-            shift._accumulate(_unbroadcast(g, shift.shape))
+        # x and the residual share one dx, so backward lends it to both
+        return tuple(dx if p.requires_grad else None for p in parents) + (
+            _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
+            _unbroadcast(g, shift.shape) if shift.requires_grad else None)
 
     return _make(out, "layer_norm", parents + (gain, shift), backward)
 
@@ -573,21 +577,20 @@ def gelu(x) -> Tensor:
     out *= xd
 
     def backward(g):
-        if x.requires_grad:
-            # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3*0.044715*x2)
-            dx = t * t
-            np.subtract(1.0, dx, out=dx)
-            dx *= 0.5
-            dx *= xd
-            tmp = x2 * (3 * 0.044715)
-            tmp += 1.0
-            tmp *= _GELU_C
-            dx *= tmp
-            np.add(t, 1.0, out=tmp)
-            tmp *= 0.5
-            dx += tmp
-            dx *= g
-            x._accumulate(dx.reshape(x.shape), owned=True)
+        # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t*t) * c * (1 + 3*0.044715*x2)
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        dx *= 0.5
+        dx *= xd
+        tmp = x2 * (3 * 0.044715)
+        tmp += 1.0
+        tmp *= _GELU_C
+        dx *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        return (dx.reshape(x.shape),)
 
     return _make(out.reshape(x.shape), "gelu", (x,), backward)
 
@@ -597,8 +600,7 @@ def tabs(x) -> Tensor:
     out = np.abs(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * np.sign(x.data), owned=True)
+        return (g * np.sign(x.data),)
 
     return _make(out, "abs", (x,), backward)
 
@@ -608,8 +610,7 @@ def sqrt(x) -> Tensor:
     out = np.sqrt(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / out, owned=True)
+        return (g * 0.5 / out,)
 
     return _make(out, "sqrt", (x,), backward)
 
@@ -621,13 +622,10 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if x.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % x.ndim for a in axes)
-                gg = np.expand_dims(g, axes)
-            x._accumulate(np.broadcast_to(gg, x.shape))
+        if not keepdims and axis is not None:
+            axes = (axis,) if isinstance(axis, int) else tuple(axis)
+            g = np.expand_dims(g, tuple(a % x.ndim for a in axes))
+        return (np.broadcast_to(g, x.shape),)
 
     return _make(np.asarray(out), "sum", (x,), backward)
 
@@ -649,8 +647,7 @@ def reshape(x, *shape) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape))
+        return (g.reshape(x.shape),)
 
     return _make(out, "reshape", (x,), backward)
 
@@ -660,8 +657,7 @@ def swapaxes(x, ax1: int, ax2: int) -> Tensor:
     out = x.data.swapaxes(ax1, ax2)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.swapaxes(ax1, ax2))
+        return (g.swapaxes(ax1, ax2),)
 
     return _make(out, "swapaxes", (x,), backward)
 
@@ -673,10 +669,8 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(ts, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
+        return tuple(piece if t.requires_grad else None
+                     for t, piece in zip(ts, np.split(g, splits, axis=axis)))
 
     return _make(out, "concat", tuple(ts), backward)
 
@@ -694,9 +688,8 @@ def gather_last(x, index: np.ndarray) -> Tensor:
     out = x.data[..., idx]
 
     def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (Ellipsis, idx), g)
-            x._accumulate(gx, owned=True)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (Ellipsis, idx), g)
+        return (gx,)
 
     return _make(out, "gather", (x,), backward)

@@ -105,6 +105,27 @@ def test_flop_exponents_thin_config():
     assert concat.exponent >= 1.7
 
 
+QUICKSTART = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=64,
+                         n_heads=4, ff_hidden=128, d_k=16, d_v=16,
+                         mica=MicaConfig(n_heads=4, d_k=16, d_v=16))
+LENGTHS = [96, 192, 384, 768, 1536]
+
+
+def test_context_length_exponents_of_the_quick_start_model():
+    # the paper's context-length claim, by operation counts alone: the
+    # global path is linear in L and the local path quadratic in patches
+    def exponent(c, mech, part):
+        rows = sweep_lengths(QUICKSTART, LENGTHS, (mech,), n_channels=c)
+        return fit_scaling(LENGTHS, [getattr(r.flops, part)
+                                     for r in rows]).exponent
+
+    assert exponent(7, "mica", "global_flops") <= 1.05
+    for mech in ("baseline", "mica", "concat"):
+        assert exponent(7, mech, "local_flops") == pytest.approx(2.0, abs=1e-9)
+    assert (exponent(64, "mica", "total_flops")
+            <= exponent(64, "concat", "total_flops") - 0.5)
+
+
 def test_count_flops_validation():
     with pytest.raises(ValueError):
         count_flops(cfg_with(), 4, "nope")

@@ -329,18 +329,18 @@ def test_eval_of_mismatched_parameter_arrays_exits_3_with_one_line(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_that_diverges_on_its_first_seed_leaves_no_output(tmp_path,
                                                                 capsys):
-    # one cell at 1e308 in the validation split: the first check diverges
+    # a learning rate of 1e300 throws the weights past overflow in the
+    # first Adam step, so the next forward diverges
     panel = gen_leadlag(2, 120, lag=2, noise_sigma=0.1, seed=5)
-    panel.values[1, 90] = 1e308
     data = tmp_path / "panel.csv"
     write_csv(panel, data)
     conf = tmp_path / "run.conf"
-    conf.write_text(TINY_CONF.format(data=data))
+    conf.write_text(TINY_CONF.format(data=data) + "train.lr0 = 1e300\n")
     out = tmp_path / "out"
     assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: training diverged at step 2: non-finite values produced "
-        "by op 'standardize'\n")
+        "error: training diverged at step 1: non-finite values produced "
+        "by op 'matmul'\n")
     assert not out.exists()
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica.tensor import (NonFiniteError, ShapeError, Tensor, _unbroadcast,
-                         checked_once, concat, div, gather_last, gelu,
-                         layer_norm, matmul, no_grad,
-                         phi, phi_np, sigmoid, softmax_lastdim, sqrt, tabs)
+from mica.tensor import (NonFiniteError, ShapeError, Tensor, _make,
+                         _unbroadcast, checked_once, concat, div, gather_last,
+                         gelu, layer_norm, matmul, no_grad, phi, phi_np,
+                         sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_softmax_known_values():
@@ -216,6 +216,44 @@ def test_borrowed_gradient_is_never_written():
     a = x * 2.0
     (a.sum() + (a * Tensor(v)).sum()).backward()
     npt.assert_array_equal(x.grad, 2.0 * (v + 1.0))
+
+
+def test_layer_norm_lends_one_gradient_to_x_and_residual():
+    # layer_norm hands x and the residual one dx.  Its closure runs before
+    # that of x * v, so x's second contribution arrives after dx: were dx
+    # owned by both, adding it into x's grad in place would write r's grad
+    rng = np.random.default_rng(8)
+    xs, rs, w, v = (rng.normal(size=(2, 3, 4)) for _ in range(4))
+    x, r = Tensor(xs, requires_grad=True), Tensor(rs, requires_grad=True)
+    gain, shift = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    y = layer_norm(x, gain, shift, 1e-5, residual=r)
+    (y * Tensor(w)).sum().backward()
+    dx = r.grad.copy()
+    x.zero_grad()
+    r.zero_grad()
+    ((y * Tensor(w)).sum() + (x * Tensor(v)).sum()).backward()
+    npt.assert_array_equal(r.grad, dx)
+    npt.assert_array_equal(x.grad, dx + v)
+    assert not np.shares_memory(x.grad, r.grad)
+
+
+def test_backward_rejects_a_closure_with_too_few_gradients():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    out = _make(a.data + b.data, "pair", (a, b), lambda g: (g,))
+    with pytest.raises(ShapeError, match="1 gradients for 2 inputs"):
+        out.sum().backward()
+
+
+def test_read_only_gradient_is_never_owned():
+    # s + s gives s a 0-d sum, a numpy scalar, that shares memory with
+    # nothing; the sum's read-only broadcast of it must still be copied
+    x = Tensor(np.ones(3), requires_grad=True)
+    s = x.sum()
+    (s + s).backward()
+    (s + s).backward()
+    npt.assert_array_equal(x.grad, np.full(3, 4.0))
+    assert x.grad.flags.writeable
 
 
 def _layer_norm_composed(x, gain, shift, eps):
