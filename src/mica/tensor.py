@@ -60,7 +60,9 @@ class NonFiniteError(FloatingPointError):
 
 class _ThreadState(threading.local):
     """Per-thread mode flags; a shared global would race under the
-    thread pool used for parallel seeds."""
+    thread pools of parallel seeds and of ``training.predict``, whose
+    workers enter ``no_grad`` themselves because the caller's does not
+    reach them."""
 
     def __init__(self):
         self.grad_enabled = True

@@ -9,6 +9,8 @@ and loss op is checked for NaN/Inf; the first one found ends the run with
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,20 +197,35 @@ def windows_per_forward(model: ForecastModel, batch: int) -> int:
     return min(batch, max(1, CACHE_BUDGET // window_bytes))
 
 
+# one worker per CPU this process may use, shared by every ``predict`` call
+# (so the ``--parallel-seeds`` validation passes too); numpy and BLAS
+# kernels release the GIL, so the workers' forwards run at once
+_POOL = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))
+                           if hasattr(os, "sched_getaffinity")
+                           else os.cpu_count() or 1)
+
+
 def predict(model: ForecastModel, ctx: np.ndarray,
             batch: int = 64) -> np.ndarray:
     """Forecasts for every window, without the tape.
 
     ``batch`` is an upper bound on the windows per forward: forwards take
     ``windows_per_forward(model, batch)`` windows each, so their
-    activations stay in cache.  Every op works window by window, so the
-    forecasts are the bits of one forward over all of ``ctx``.
+    activations stay in cache.  The groups run concurrently on a shared
+    pool of one thread per usable CPU, and a non-finite group raises what
+    the serial loop would: the earliest such group's error.  Every op
+    works window by window, so the forecasts are the bits of one forward
+    over all of ``ctx``.
     """
     group = windows_per_forward(model, batch)
-    with no_grad():
-        preds = [model.forward(ctx[i:i + group]).data
-                 for i in range(0, len(ctx), group)]
-    return np.concatenate(preds, axis=0)
+
+    def forecast(start: int) -> np.ndarray:
+        # no_grad is per thread: the caller's does not reach a pool worker
+        with no_grad():
+            return model.forward(ctx[start:start + group]).data
+
+    return np.concatenate(
+        list(_POOL.map(forecast, range(0, len(ctx), group))), axis=0)
 
 
 def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
@@ -255,7 +272,7 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
             if steps_run % cfg.val_check_every == 0:
                 val_mae, _ = evaluate(model, val_ctx, val_tgt)
                 val_trace.append((steps_run, val_mae))
-                if val_mae < best_val:
+                if best_state is None or val_mae < best_val:
                     best_val = val_mae
                     best_step = steps_run
                     best_state = model.state_arrays()
