@@ -225,6 +225,15 @@ def _write_forecasts(path: Path, channel_ids, tgt, pred) -> None:
                       for h, (t, p) in enumerate(zip(tc, pc), 1))
 
 
+def _out_dir(path) -> Path:
+    """``--out``, refused when its nearest existing path is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return out
+
+
 def _report_rows(report: TrainReport):
     for step, loss in report.train_trace:
         yield ["train", step, _fmt(loss), ""]
@@ -240,12 +249,12 @@ def cmd_train(args) -> int:
     if args.parallel_seeds < 1:
         raise ConfigError(f"--parallel-seeds must be >= 1, got "
                           f"{args.parallel_seeds}")
+    out = _out_dir(args.out)
     conf = parse_config(args.config)
     panel = load_panel(conf)
     mcfg = model_config_from(conf)
     tcfg = train_config_from(conf)
     digest = config_digest(mcfg, panel.n_channels)
-    out = Path(args.out)
 
     def run_seed(seed: int) -> TrainReport:
         model = ForecastModel(mcfg, panel.n_channels, seed=seed)
@@ -278,6 +287,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir(args.out)
+    if not Path(args.params).is_file():
+        raise ConfigError(f"--params {args.params} is not a file")
     conf = parse_config(args.config)
     panel = load_panel(conf)
     mcfg = model_config_from(conf)
@@ -299,7 +311,6 @@ def cmd_eval(args) -> int:
     test_mae, test_rmse = mae(tgt, pred), rmse(tgt, pred)
     vctx, vtgt = eval_windows(panel, mcfg.input_size, mcfg.horizon, "val")
     val_mae, val_rmse = evaluate(model, vctx, vtgt)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "metrics.csv", ["split", "mae", "rmse"],
                [["val", _fmt(val_mae), _fmt(val_rmse)],
@@ -325,6 +336,7 @@ def _bench_rows_csv(rows):
 
 
 def cmd_bench(args) -> int:
+    out = _out_dir(args.out)
     conf = parse_config(args.config)
     mcfg = model_config_from(conf)
     mechanisms = conf["bench.mechanisms"]
@@ -341,7 +353,6 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bench.sweep must be C or L, "
                           f"got {conf['bench.sweep']!r}")
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "bench.csv", ["mechanism", "size"] + COST_COLUMNS,
                _bench_rows_csv(rows))
@@ -364,6 +375,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     conf = parse_config(args.config)
     c = conf["bench.channels"]
     rows = sweep_channels(model_config_from(conf), [c],
@@ -374,8 +386,7 @@ def cmd_flops(args) -> int:
               f"(local={rep.local_flops:,} global={rep.global_flops:,} "
               f"gate={rep.gate_flops:,} backbone={rep.backbone_flops:,}) "
               f"params={r.params:,}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "flops.csv", ["mechanism", "channels"] + COST_COLUMNS,
                    _bench_rows_csv(rows))

@@ -76,14 +76,14 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    """Normalizes the last axis to zero mean / unit variance, then affine;
-    ``norm(x, r)`` normalizes the residual sum ``x + r`` in the same op."""
+    """``norm(x, r)`` normalizes the residual sum ``x + r`` over the last
+    axis to zero mean / unit variance, then applies an affine map."""
 
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, residual: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.shift, 1e-5, residual)
 
 

@@ -8,10 +8,10 @@ alone adds them up and decides which gradient buffers it may write.  The
 op vocabulary is deliberately small: matmul (with an optional bias, so
 x @ W + b is one op), elementwise arithmetic with broadcasting, softmax
 over the last axis, the positive feature map phi(x) = ELU(x) + 1,
-sigmoid, gelu, layer_norm over the last axis (with an optional residual
-added first), reductions, and shape ops (reshape / swapaxes / concat /
-gather).  The attention block's four pieces (local attention, the global
-memory, its read, and the gate mix) are ops of their own in
+sigmoid, gelu, layer_norm of a residual sum over the last axis (a
+sublayer's add-and-norm), reductions, and shape ops (reshape / swapaxes /
+concat / gather).  The attention block's four pieces (local attention, the
+global memory, its read, and the gate mix) are ops of their own in
 ``attention.py``, built with ``_make`` like the ones here.  Every op
 computes its forward with the same numpy kernels (``softmax_np``,
 ``phi_np``, ...) whether or not it is taped; ``records`` tells an op
@@ -19,15 +19,15 @@ whether it will be.
 
 Finite checks are always on and raise ``NonFiniteError`` naming the first
 op that produced NaN or Inf.  An op called directly checks its output.  A
-whole forecast, in training or not, runs through ``checked_once`` instead,
-which checks once: its ops skip their output checks, except that the four
-ops that can map a non-finite input to a finite output
-(``local_attention``, ``global_memory``, ``global_attention`` and
-``sigmoid``) check their inputs, and the forecast is checked at the end.
-Any other non-finite value spreads to the forecast.  Only when a check
-fails does the forecast run again with per-op checks, so the error, or the
-finite result, is the per-op one.  Nothing is rewound in between: a
-forecast must be repeatable, restoring any rng or list it changes.
+whole forecast, in training or not, runs through ``checked_once`` instead:
+its ops skip their output checks, but the four that can map a non-finite
+input to a finite output (``local_attention``, ``global_memory``,
+``global_attention`` and ``sigmoid``) test each input they read, with no
+per-pass cache, and the forecast is checked at the end.  Any other
+non-finite value spreads to the forecast.  Only when a check fails does
+the forecast run again with per-op checks, so the error, or the finite
+result, is the per-op one.  Nothing is rewound in between: a forecast
+must be repeatable, restoring any rng or list it changes.
 
 A training step allocates and frees a few hundred MB of activations.  By
 default glibc hands that memory back to the kernel after every backward
@@ -67,9 +67,6 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.grad_enabled = True
         self.deferred = False      # inside a ``checked_once`` pass
-        # arrays ``check_inputs`` found finite in this pass, by id; holding
-        # them keeps their ids from being reused until the pass ends
-        self.tested: dict[int, np.ndarray] = {}
 
 
 _STATE = _ThreadState()
@@ -119,18 +116,12 @@ def check_inputs(*tensors: Tensor | None) -> None:
     """Called by the ops that can map a non-finite input to a finite output
     (softmax attention, phi and the phi(Q) z denominator, sigmoid): in a
     ``checked_once`` pass, a non-finite input ends the pass, because the
-    final check could miss it.  Each array is tested once per pass, so q,
-    k and v, read by several of these ops, cost one test each.  ``None``
-    entries are skipped."""
-    if not _STATE.deferred:
-        return
-    tested = _STATE.tested
-    for t in tensors:
-        if t is None or id(t.data) in tested:
-            continue
-        if not _all_finite(t.data):
-            raise NonFiniteError("non-finite input to an absorbing op")
-        tested[id(t.data)] = t.data
+    final check could miss it.  Each call tests every input it is given,
+    and nothing is kept between calls.  ``None`` entries are skipped."""
+    if _STATE.deferred:
+        for t in tensors:
+            if t is not None and not _all_finite(t.data):
+                raise NonFiniteError("non-finite input to an absorbing op")
 
 
 def checked_once(run: Callable[[], Tensor]) -> Tensor:
@@ -154,7 +145,6 @@ def checked_once(run: Callable[[], Tensor]) -> Tensor:
             pass
         finally:
             _STATE.deferred = False
-            _STATE.tested.clear()
     return run()
 
 
@@ -296,25 +286,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -508,31 +486,21 @@ def sigmoid(x) -> Tensor:
     return _make(out, "sigmoid", (x,), backward)
 
 
-def layer_norm(x, gain, shift, eps: float, residual=None) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale
-    by ``gain`` and add ``shift`` (both of shape ``(x.shape[-1],)``).
-
-    With ``residual``, of ``x``'s shape, it normalizes ``x + residual``:
-    the residual add of a transformer sublayer is part of this one op, and
-    both inputs share its input gradient, as they would share an add's."""
-    x, gain, shift = as_tensor(x), as_tensor(gain), as_tensor(shift)
-    if gain.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
-        raise ShapeError(f"layer_norm over {x.shape} needs gain and shift "
-                         f"of shape {x.shape[-1:]}, got {gain.shape} and "
-                         f"{shift.shape}")
-    parents = (x,)
+def layer_norm(x, gain, shift, eps: float, residual) -> Tensor:
+    """A transformer sublayer's add-and-norm as one op: normalize ``x +
+    residual`` (of ``x``'s shape) over the last axis to zero mean and unit
+    variance, then scale by ``gain`` and add ``shift`` (both of shape
+    ``(x.shape[-1],)``).  x and the residual share one input gradient."""
+    x, gain, shift, residual = map(as_tensor, (x, gain, shift, residual))
+    if (residual.shape != x.shape or gain.shape != x.shape[-1:]
+            or shift.shape != x.shape[-1:]):
+        raise ShapeError(f"layer_norm over {x.shape} needs a residual of that "
+                         f"shape and gain and shift of shape {x.shape[-1:]}; "
+                         f"got {residual.shape}, {gain.shape}, {shift.shape}")
     # means are sums times 1/n, as ``tmean`` computes them
     inv_n = 1.0 / x.shape[-1]
-    if residual is None:
-        normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    else:
-        residual = as_tensor(residual)
-        if residual.shape != x.shape:
-            raise ShapeError(f"layer_norm residual of shape {residual.shape} "
-                             f"does not match its input {x.shape}")
-        parents += (residual,)
-        normed = x.data + residual.data
-        normed -= normed.sum(axis=-1, keepdims=True) * inv_n
+    normed = x.data + residual.data
+    normed -= normed.sum(axis=-1, keepdims=True) * inv_n
     out = normed * normed
     std = np.sqrt(out.sum(axis=-1, keepdims=True) * inv_n + eps)
     normed /= std
@@ -540,20 +508,20 @@ def layer_norm(x, gain, shift, eps: float, residual=None) -> Tensor:
     out += shift.data
 
     def backward(g):
-        dx = None
-        if any(p.requires_grad for p in parents):
-            # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
-            gh = g * gain.data
-            dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
-            gh *= normed
-            dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
-            dx /= std
+        # dx = (gh - mean(gh) - normed * mean(gh * normed)) / std
+        gh = g * gain.data
+        dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
+        gh *= normed
+        dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
+        dx /= std
         # x and the residual share one dx, so backward lends it to both
-        return tuple(dx if p.requires_grad else None for p in parents) + (
-            _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
-            _unbroadcast(g, shift.shape) if shift.requires_grad else None)
+        return (dx if x.requires_grad else None,
+                dx if residual.requires_grad else None,
+                _unbroadcast(g * normed, gain.shape)
+                if gain.requires_grad else None,
+                _unbroadcast(g, shift.shape) if shift.requires_grad else None)
 
-    return _make(out, "layer_norm", parents + (gain, shift), backward)
+    return _make(out, "layer_norm", (x, residual, gain, shift), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

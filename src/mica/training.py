@@ -48,6 +48,9 @@ class TrainConfig:
             raise ConfigError("need lr0 > 0 and 0 < lr_decay <= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        negative = sorted({s for s in self.seeds if s < 0})
+        if negative:
+            raise ConfigError(f"seeds must be non-negative; got {negative}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct; repeated: {repeated}")

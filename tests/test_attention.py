@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -350,15 +352,20 @@ def test_local_only_block_matches_mica_local_path():
     assert np.array_equal(res.a_mixed.data, res.a_local.data)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MicaConfig(gate="nope")
-    with pytest.raises(ValueError):
-        MicaConfig(weight_mode="nope")
-    with pytest.raises(ValueError):
-        MicaConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        MicaConfig(mlp_layers=1)
+@pytest.mark.parametrize("bad, message", [
+    (dict(n_heads=0), "head count and head dims must be positive"),
+    (dict(d_k=0), "head count and head dims must be positive"),
+    (dict(d_v=-1), "head count and head dims must be positive"),
+    (dict(gate="nope"), "unknown gate kind 'nope'"),
+    (dict(weight_mode="nope"), "unknown weight mode 'nope'"),
+    (dict(mlp_layers=1), "gate mlp needs at least 2 layers"),
+    (dict(mlp_dropout=1.0), "mlp_dropout must be in [0, 1)"),
+    (dict(mlp_dropout=-0.1), "mlp_dropout must be in [0, 1)"),
+    (dict(epsilon=0.0), "epsilon must be positive"),
+], ids=repr)
+def test_config_validation(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MicaConfig(**bad)
 
 
 def test_split_merge_heads_roundtrip():

@@ -6,7 +6,7 @@ from mica.attention import (MicaAttention, MicaConfig, global_attention,
                             global_memory, local_attention, mix)
 from mica.backbone import ForecastModel, ModelConfig
 from mica.gradcheck import gradcheck
-from mica.tensor import Tensor, phi, sigmoid, softmax_lastdim
+from mica.tensor import Tensor, div, phi, sigmoid, softmax_lastdim, sub
 
 
 def block_loss_fn(block, x, proj):
@@ -75,11 +75,11 @@ def composed_memory(k, v, weights=None, exclusion=False):
 
 def composed_read(q, memory, z, eps):
     pq = phi(q)
-    return (pq @ memory) / ((pq @ z) + eps)
+    return div(pq @ memory, (pq @ z) + eps)
 
 
 def composed_mix(a_local, a_global, gate_weight):
-    return gate_weight * a_global + (1.0 - gate_weight) * a_local
+    return gate_weight * a_global + sub(1.0, gate_weight) * a_local
 
 
 def run_block_ops(arrays, weight_mode, exclusion, ops):

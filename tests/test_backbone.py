@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -207,12 +210,27 @@ def test_forward_input_validation():
         model.forward(rng.normal(size=(3, 16)))
 
 
-def test_config_rejects_unbuildable_models():
-    with pytest.raises(ValueError, match="d_model must be even"):
-        small_cfg(d_model=7)
-    with pytest.raises(ValueError, match="patch_len 17 exceeds input_size 16"):
-        small_cfg(patch_len=17)
-    # a patch as long as the window is one patch
+@pytest.mark.parametrize("build, message", [
+    (lambda: small_cfg(horizon=0), "horizon must be positive"),
+    (lambda: small_cfg(n_layers=-1), "n_layers must be >= 0"),
+    (lambda: small_cfg(d_model=0), "model dimensions must be positive"),
+    (lambda: small_cfg(stride=0), "model dimensions must be positive"),
+    (lambda: small_cfg(d_model=7), "d_model must be even"),
+    (lambda: small_cfg(patch_len=17), "patch_len 17 exceeds input_size 16"),
+    (lambda: small_cfg(dropout=1.0), "dropout must be in [0, 1)"),
+    (lambda: small_cfg(head_kind="tied"), "unknown head kind 'tied'"),
+    (lambda: small_cfg(mica=MicaConfig(n_heads=2, d_k=8, d_v=4)),
+     "mica.d_k disagrees with the backbone setting"),
+    (lambda: ForecastModel(small_cfg(), n_channels=0),
+     "n_channels must be positive"),
+], ids=["horizon", "n_layers", "d_model", "stride", "odd_d_model",
+        "patch_len", "dropout", "head_kind", "mica_heads", "n_channels"])
+def test_config_rejects_unbuildable_models(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_a_patch_as_long_as_the_window_is_one_patch():
     assert ForecastModel(small_cfg(patch_len=16), n_channels=2).n_patches == 1
 
 
@@ -365,21 +383,21 @@ def test_parameter_names_and_shapes_are_pinned():
         for t in ("weight", "bias")] + ["layers.0.attn.channel_weights"]
 
 
-def test_load_params_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"definitely not params")
-    with pytest.raises(IntegrityError):
-        load_params(bad)
-
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: b"definitely not params", "is not a parameter file"),
+    (lambda blob: blob[:len(blob) // 2], "truncated parameter file"),
+    (lambda blob: blob[:8] + struct.pack("<I", 2) + blob[12:],
+     "unsupported parameter file version 2"),
+    (lambda blob: blob + b"\0", "trailing bytes in parameter file"),
+], ids=["garbage", "truncated", "version", "trailing"])
+def test_load_params_rejects_garbage(tmp_path, corrupt, message):
     cfg = small_cfg()
     model = ForecastModel(cfg, n_channels=2, seed=0)
-    good = tmp_path / "good.bin"
-    save_params(good, model, config_digest(cfg, 2))
-    blob = good.read_bytes()
-    truncated = tmp_path / "trunc.bin"
-    truncated.write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(IntegrityError):
-        load_params(truncated)
+    path = tmp_path / "params.bin"
+    save_params(path, model, config_digest(cfg, 2))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load_params(path)
 
 
 def test_config_digest_sensitivity():
@@ -558,8 +576,7 @@ def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):
     assert len(counted) == 53               # one per op, and the window std
     counted.clear()
     outcome(model, window)
-    # each array once: per layer, local_attention q, k, v and
-    # global_attention M, z (global_memory's k, v and the read's q are
-    # tested already); sigmoid's beta, one array shared by both layers;
-    # then the forecast
-    assert len(counted) == 2 * (3 + 2) + 1 + 1
+    # every input of every absorbing op: per layer, local_attention's q, k,
+    # v, global_memory's k, v, global_attention's q, M, z and sigmoid's
+    # beta; then the forecast
+    assert len(counted) == 2 * (3 + 2 + 3 + 1) + 1

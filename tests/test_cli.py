@@ -205,6 +205,94 @@ def test_exit_code_missing_dataset(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, text, message", [
+    ("flops", None, "config file not found"),
+    ("flops", "model.horizon 4\n", "c.conf:1: expected key = value"),
+    ("flops", "model.d_model = 8\n",
+     "missing required config keys: model.horizon"),
+    ("train", "model.horizon = 4\n", "missing required config keys: "
+     "data.path, data.val_size, data.test_size"),
+    ("flops", "model.horizon = 4\nmodel.mica = maybe\n",
+     "c.conf:2: bad value for 'model.mica': not a boolean: 'maybe'"),
+    ("bench", "model.horizon = 4\nbench.sweep = T\n",
+     "bench.sweep must be C or L, got 'T'"),
+], ids=["no_file", "no_equals", "no_horizon", "no_data", "bool", "sweep"])
+def test_config_rejections_exit_2_and_say_why(tmp_path, capsys, cmd, text,
+                                              message):
+    conf = tmp_path / "c.conf"
+    if text is not None:
+        conf.write_text(text)
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(conf), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _record_calls(monkeypatch, name):
+    """Replace ``cli.<name>`` by a stub that records its calls and ends
+    the run, so a test sees whether a command reached its work."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError(f"{name} was called")
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+@pytest.mark.parametrize("cmd, work", [
+    ("train", "train"), ("eval", "predict"), ("bench", "sweep_channels"),
+    ("flops", "sweep_channels")])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_an_out_that_is_not_a_directory_ends_the_run_before_any_work(
+        workspace, capsys, monkeypatch, cmd, work, nested):
+    tmp, conf = workspace
+    mcfg = model_config_from(parse_config(conf))
+    params = tmp / "params.bin"
+    save_params(params, ForecastModel(mcfg, n_channels=2, seed=0),
+                config_digest(mcfg, 2))
+    calls = _record_calls(monkeypatch, work)
+    out = tmp / "taken"
+    out.write_text("a file\n")
+    if nested:
+        out = out / "sub"
+    extra = ["--params", str(params)] if cmd == "eval" else []
+    assert main([cmd, "--config", str(conf), "--out", str(out),
+                 *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: {tmp / 'taken'} is not a directory\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_eval_of_params_that_are_not_a_file_exits_2(workspace, capsys,
+                                                     monkeypatch, kind):
+    tmp, conf = workspace
+    calls = _record_calls(monkeypatch, "predict")
+    params = tmp / "nope.bin" if kind == "missing" else tmp
+    out = tmp / "eval_out"
+    assert main(["eval", "--config", str(conf), "--params", str(params),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --params {params} is not a file\n")
+    assert calls == [] and not out.exists()
+
+
+def test_train_rejects_negative_seeds_before_training(workspace, capsys,
+                                                      monkeypatch):
+    tmp, conf = workspace
+    neg = tmp / "neg.conf"
+    neg.write_text(conf.read_text().replace("train.seeds = 1,2",
+                                            "train.seeds = 2,-1,-3"))
+    calls = _record_calls(monkeypatch, "train")
+    out = tmp / "neg_out"
+    assert main(["train", "--config", str(neg), "--out", str(out)]) == 2
+    assert "seeds must be non-negative; got [-3, -1]" in (
+        capsys.readouterr().err)
+    assert calls == [] and not out.exists()
+
+
 def test_help_lists_schema(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

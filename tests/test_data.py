@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -255,6 +256,40 @@ def test_write_csv_bytes_match_the_per_value_writer(tmp_path):
 def test_missing_file_mentions_path():
     with pytest.raises(ConfigError, match="no/such/file.csv"):
         load_csv("no/such/file.csv")
+
+
+def _load(text, layout="wide"):
+    """A case of ``test_rejected_panels_say_why``: load ``text`` as a
+    csv file of ``layout``."""
+    def load(tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        return load_csv(path, layout=layout)
+    return load
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: PanelDataset(np.zeros(3), ["a"]),
+     "panel values must be (C,T), got shape (3,)"),
+    (lambda tmp: PanelDataset(np.zeros((2, 5)), ["a"]),
+     "channel id count does not match value rows"),
+    (lambda tmp: PanelDataset(np.zeros((1, 5)), ["a"], train_end=3,
+                              val_end=6),
+     "split bounds 0 < 3 < 6 <= 5 violated"),
+    (_load("timestamp,a\n"), "p.csv: no data rows"),
+    (_load("timestamp\n0\n"), "wide layout needs a timestamp column"),
+    (_load("channel_id,timestamp\na,0\n", "long"),
+     "long layout needs exactly (channel_id, timestamp, value) columns"),
+    (_load("timestamp,a\n0,1\n", "tall"), "unknown csv layout 'tall'"),
+    (_load("channel_id,timestamp,value\na,0,1\nb,0,1\na,0,2\n", "long"),
+     "p.csv:4: duplicate observation for channel 'a'"),
+    (lambda tmp: pca_fit(np.zeros((2, 1))),
+     "pca_fit needs at least two time steps"),
+], ids=["panel_shape", "id_count", "split_bounds", "no_rows", "wide_header",
+        "long_header", "layout", "duplicate", "pca_steps"])
+def test_rejected_panels_say_why(tmp_path, build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build(tmp_path)
 
 
 # -- splits ----------------------------------------------------------------------

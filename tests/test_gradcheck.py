@@ -3,8 +3,8 @@ import pytest
 
 from mica.gradcheck import gradcheck
 from mica.nn import LayerNorm, Linear, Module
-from mica.tensor import (Tensor, concat, gather_last, gelu, layer_norm, phi,
-                         sigmoid, softmax_lastdim, sqrt, tabs)
+from mica.tensor import (Tensor, concat, div, gather_last, gelu, layer_norm,
+                         phi, sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_gradcheck_passes_composite_expression():
@@ -46,9 +46,9 @@ def test_gradcheck_every_op_in_vocabulary():
         mix = concat([gelu(m), tabs(g)], axis=-1)
         z = mix.swapaxes(0, 1).reshape(2, 6)
         denom = sqrt((z * z).mean(axis=-1, keepdims=True) + 0.5)
-        z = layer_norm(z, gain, shift, 1e-5)
+        z = layer_norm(z, gain, shift, 1e-5, residual=z)
         z = layer_norm(z, gain, shift, 1e-5, residual=concat([g, m], -1))
-        return (softmax_lastdim(z / denom) * phi(z) + sigmoid(z)).sum()
+        return (softmax_lastdim(div(z, denom)) * phi(z) + sigmoid(z)).sum()
 
     report = gradcheck(f, {"a": a, "b": b, "gain": gain, "shift": shift})
     assert report.passed, report.per_input
@@ -70,6 +70,7 @@ def test_gradcheck_layers():
     lin = Linear(4, 3, rng)
     ln = LayerNorm(3)
     x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    r = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
     class Wrap(Module):
         def __init__(self):
@@ -78,9 +79,11 @@ def test_gradcheck_layers():
 
     params = dict(Wrap().named_parameters())
     params["x"] = x
+    params["r"] = r
 
     def f():
-        return (ln(lin(x)) * Tensor([[1.0, -2.0, 0.5], [0.0, 1.0, 2.0]])).sum()
+        return (ln(lin(x), r)
+                * Tensor([[1.0, -2.0, 0.5], [0.0, 1.0, 2.0]])).sum()
 
     report = gradcheck(f, params)
     assert report.passed, report.per_input

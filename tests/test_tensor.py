@@ -260,7 +260,7 @@ def _layer_norm_composed(x, gain, shift, eps):
     m = x.mean(axis=-1, keepdims=True)
     centered = x - m
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * gain + shift
+    return div(centered, sqrt(var + eps)) * gain + shift
 
 
 def test_layer_norm_matches_composed_ops():
@@ -268,8 +268,9 @@ def test_layer_norm_matches_composed_ops():
     xs = rng.normal(size=(2, 3, 5, 8)) * 3.0 + 1e3
     gs, ss = rng.normal(size=8), rng.normal(size=8)
     w = Tensor(rng.normal(size=xs.shape))
+    zero = Tensor(np.zeros(xs.shape))     # x + 0 keeps x's bits
     grads = []
-    for op in (layer_norm, _layer_norm_composed):
+    for op in (lambda *a: layer_norm(*a, zero), _layer_norm_composed):
         x, gain, shift = (Tensor(a.copy(), requires_grad=True)
                           for a in (xs, gs, ss))
         out = op(x, gain, shift, 1e-5)
@@ -280,12 +281,13 @@ def test_layer_norm_matches_composed_ops():
     for g, gw in zip(got, want):
         npt.assert_allclose(g, gw, rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
-        layer_norm(Tensor(xs), Tensor(np.ones(5)), Tensor(np.zeros(8)), 1e-5)
+        layer_norm(Tensor(xs), Tensor(np.ones(5)), Tensor(np.zeros(8)), 1e-5,
+                   zero)
 
 
 def test_layer_norm_with_residual_is_layer_norm_of_the_sum():
-    # the folded residual add gives the bits of add then layer_norm, in the
-    # output and in every gradient
+    # the folded residual add gives the bits of add then layer_norm (of the
+    # sum plus a zero residual), in the output and in every gradient
     rng = np.random.default_rng(7)
     arrays = [rng.normal(size=(2, 3, 5, 8)) * 3.0 + 1e3,
               rng.normal(size=(2, 3, 5, 8)), rng.normal(size=8),
@@ -298,7 +300,8 @@ def test_layer_norm_with_residual_is_layer_norm_of_the_sum():
         if fold:
             out = layer_norm(x, gain, shift, 1e-5, residual=r)
         else:
-            out = layer_norm(x + r, gain, shift, 1e-5)
+            out = layer_norm(x + r, gain, shift, 1e-5,
+                             Tensor(np.zeros(x.shape)))
         (out * w).sum().backward()
         runs.append([out.data, x.grad, r.grad, gain.grad, shift.grad])
     for got, want in zip(*runs):

@@ -147,6 +147,32 @@ def test_an_inf_validation_mae_still_records_each_check_once():
     assert report.best_step == 3 and report.best_val_mae == np.inf
 
 
+def test_early_stopping_restores_the_first_check_when_none_improve(
+        monkeypatch):
+    # every validation MAE is worse than the last, so the run stops once
+    # ``early_stop_patience`` checks after the first have not improved
+    states, maes = [], iter(range(1, 100))
+
+    def rising(model, ctx, tgt, batch=64):
+        states.append(model.state_arrays())
+        mae = float(next(maes))
+        return mae, mae
+
+    monkeypatch.setattr(training, "evaluate", rising)
+    cfg = TrainConfig(windows_batch=4, max_steps=100, val_check_every=3,
+                      early_stop_patience=2, seeds=(1,))
+    report = train(tiny_model(), tiny_panel(), cfg, seed=1)
+    assert report.steps_run == 3 * (2 + 1)
+    assert report.val_trace == [(3, 1.0), (6, 2.0), (9, 3.0)]
+    assert (report.best_step, report.best_val_mae) == (3, 1.0)
+    # the test pass, the last call, sees the first check's parameters
+    assert len(states) == 4
+    for name, arr in states[0].items():
+        assert arr.tobytes() == states[-1][name].tobytes(), name
+    assert any(arr.tobytes() != states[2][name].tobytes()
+               for name, arr in states[0].items())
+
+
 def test_train_determinism_same_seed():
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=12, val_check_every=6,
@@ -211,10 +237,10 @@ def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
         len(counted)) or step(self, lr))
     train(model, panel, TrainConfig(windows_batch=2, max_steps=2,
                                     val_check_every=5), seed=0)
-    # the forward as in test_backbone (each array once: per layer,
-    # local_attention q, k, v and global_attention M, z; the shared beta;
-    # then the forecast), then the loss's sub, abs, sum and mul, per op
-    assert per_step == [2 * (3 + 2) + 1 + 1 + 4] * 2
+    # the forward as in test_backbone (per layer, local_attention's q, k,
+    # v, global_memory's k, v, global_attention's q, M, z and sigmoid's
+    # beta; then the forecast), then the loss's sub, abs, sum and mul, per op
+    assert per_step == [2 * (3 + 2 + 3 + 1) + 1 + 4] * 2
 
 
 def test_train_frees_each_step_before_the_next_forward():
@@ -370,6 +396,8 @@ def test_train_config_validation():
         TrainConfig(windows_batch=0)
     with pytest.raises(ConfigError, match=r"repeated: \[1, 3\]"):
         TrainConfig(seeds=(3, 1, 2, 1, 3))
+    with pytest.raises(ConfigError, match=r"non-negative; got \[-2\]"):
+        TrainConfig(seeds=(0, -2))
 
 
 QUICK_START_STEPS = """
