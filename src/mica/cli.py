@@ -16,7 +16,7 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -27,7 +27,8 @@ from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
                        ModelConfig, config_digest, load_params, save_params)
 from .bench import (MECHANISMS, check_fit_sizes, fit_scaling, sweep_channels,
                     sweep_lengths)
-from .data import ConfigError, PanelDataset, chrono_split, load_csv
+from .data import (ConfigError, PanelDataset, chrono_split, input_file,
+                   load_csv)
 from .tensor import NonFiniteError
 from .training import (TrainConfig, TrainReport, eval_windows, evaluate, mae,
                        predict, rmse, train)
@@ -128,9 +129,7 @@ MICA_ONLY = tuple(f"model.{f.name}" for f in fields(MicaConfig)
 
 def parse_config(path) -> dict:
     """Read and validate a flat key = value configuration file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    path = input_file(path, "--config")
     conf = {key: None if default is MISSING else default
             for key, default in DEFAULTS.items()}
     seen: set[str] = set()
@@ -256,40 +255,46 @@ def cmd_train(args) -> int:
     tcfg = train_config_from(conf)
     digest = config_digest(mcfg, panel.n_channels)
 
-    def run_seed(seed: int) -> TrainReport:
+    def run_seed(seed: int) -> tuple[ForecastModel, TrainReport]:
         model = ForecastModel(mcfg, panel.n_channels, seed=seed)
-        report = train(model, panel, tcfg, seed)
-        out.mkdir(parents=True, exist_ok=True)
-        save_params(out / f"params_seed{seed}.bin", model, digest)
-        _write_csv(out / f"report_seed{seed}.csv",
-                   ["record", "step", "mae", "rmse"], _report_rows(report))
-        return report
+        return model, train(model, panel, tcfg, seed)
 
     if args.parallel_seeds > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel_seeds) as pool:
-            reports = list(pool.map(run_seed, tcfg.seeds))
+        pool = ThreadPoolExecutor(max_workers=args.parallel_seeds)
+        futures = [pool.submit(run_seed, seed) for seed in tcfg.seeds]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # a failure, or an interrupt, starts no seed still queued
+            pool.shutdown(cancel_futures=True)
+        # seeds start in order, so this raises the error a serial run would
+        runs = [future.result() for future in futures]
     else:
-        reports = [run_seed(seed) for seed in tcfg.seeds]
+        runs = [run_seed(seed) for seed in tcfg.seeds]
 
+    # written only once every seed has trained: a failed run leaves no --out
+    out.mkdir(parents=True, exist_ok=True)
+    for model, r in runs:
+        save_params(out / f"params_seed{r.seed}.bin", model, digest)
+        _write_csv(out / f"report_seed{r.seed}.csv",
+                   ["record", "step", "mae", "rmse"], _report_rows(r))
+        print(f"seed {r.seed}: best_step={r.best_step} "
+              f"test_mae={r.test_mae:.6f} test_rmse={r.test_rmse:.6f}")
     rows = [[r.seed, r.best_step, _fmt(r.test_mae), _fmt(r.test_rmse)]
-            for r in reports]
-    maes = np.array([r.test_mae for r in reports])
-    rmses = np.array([r.test_rmse for r in reports])
+            for _, r in runs]
+    maes = np.array([r.test_mae for _, r in runs])
+    rmses = np.array([r.test_rmse for _, r in runs])
     rows.append(["mean", "", _fmt(maes.mean()), _fmt(rmses.mean())])
     rows.append(["std", "", _fmt(maes.std()), _fmt(rmses.std())])
     _write_csv(out / "summary.csv",
                ["seed", "best_step", "test_mae", "test_rmse"], rows)
-    for r in reports:
-        print(f"seed {r.seed}: best_step={r.best_step} "
-              f"test_mae={r.test_mae:.6f} test_rmse={r.test_rmse:.6f}")
     print(f"mean test_mae={maes.mean():.6f} rmse={rmses.mean():.6f}")
     return 0
 
 
 def cmd_eval(args) -> int:
     out = _out_dir(args.out)
-    if not Path(args.params).is_file():
-        raise ConfigError(f"--params {args.params} is not a file")
+    input_file(args.params, "--params")
     conf = parse_config(args.config)
     panel = load_panel(conf)
     mcfg = model_config_from(conf)

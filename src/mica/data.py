@@ -175,6 +175,13 @@ def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
     return values
 
 
+def input_file(path, what: str) -> Path:
+    """``path`` as a ``Path``, or a ``ConfigError`` if it is not a file."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} {path} is not a file")
+    return Path(path)
+
+
 def load_csv(path, layout: str = "wide",
              forward_fill: bool = False) -> PanelDataset:
     """Read a panel from CSV.
@@ -190,9 +197,7 @@ def load_csv(path, layout: str = "wide",
     that in the long layout every bad cell is reported before a duplicate
     observation.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
+    path = input_file(path, "dataset")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         numbered = [(reader.line_num, row) for row in reader if row]

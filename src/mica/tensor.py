@@ -612,8 +612,6 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x, *shape) -> Tensor:
     x = as_tensor(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     out = x.data.reshape(shape)
 
     def backward(g):

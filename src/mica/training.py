@@ -1,11 +1,11 @@
 """Window-sampled training with step-decayed Adam and early stopping.
 
 Loss is mean absolute error in the original data units (the backbone
-de-standardizes before returning), validated every ``val_check_every``
-steps on a fixed tiling of the validation split.  The best-validation
-parameters are restored before test metrics are computed.  Every forward
-and loss op is checked for NaN/Inf; the first one found ends the run with
-``TrainingDivergedError``, which names the op.
+de-standardizes before returning), validated every ``val_check_every`` steps
+on a fixed tiling of the validation split, and at the last step if none came
+before.  The best-validation parameters are restored before test metrics are
+computed.  Every forward and loss op is checked for NaN/Inf; the first one
+found ends the run with ``TrainingDivergedError``, which names the op.
 """
 from __future__ import annotations
 
@@ -241,7 +241,7 @@ def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
 
 def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
           seed: int) -> TrainReport:
-    """Train one model; returns traces and test metrics at the best step."""
+    """Train one model; returns traces and test metrics at the best check."""
     panel.require_split()
     rng = np.random.default_rng(seed)
     opt = Adam(model.parameters())
@@ -251,11 +251,8 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
 
     train_trace: list[tuple[int, float]] = []
     val_trace: list[tuple[int, float]] = []
-    best_val = np.inf
-    best_step = 0
     best_state: dict[str, np.ndarray] | None = None
     checks_since_best = 0
-    steps_run = 0
 
     try:
         for step in range(cfg.max_steps):
@@ -272,7 +269,8 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
             steps_run = step + 1
             train_trace.append((steps_run, loss_val))
 
-            if steps_run % cfg.val_check_every == 0:
+            if (steps_run % cfg.val_check_every == 0
+                    or best_state is None and steps_run == cfg.max_steps):
                 val_mae, _ = evaluate(model, val_ctx, val_tgt)
                 val_trace.append((steps_run, val_mae))
                 if best_state is None or val_mae < best_val:
@@ -287,14 +285,7 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
     except NonFiniteError as err:
         raise TrainingDivergedError(step, str(err)) from err
 
-    if best_state is not None:
-        model.load_state(best_state)
-    else:
-        # no validation check ever ran; keep the final parameters
-        val_mae, _ = evaluate(model, val_ctx, val_tgt)
-        best_val, best_step = val_mae, steps_run
-        val_trace.append((steps_run, val_mae))
-
+    model.load_state(best_state)
     test_ctx, test_tgt = eval_windows(panel, input_size, horizon, "test")
     test_mae, test_rmse = evaluate(model, test_ctx, test_tgt)
     return TrainReport(seed=seed, best_step=best_step, best_val_mae=best_val,

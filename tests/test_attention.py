@@ -368,6 +368,34 @@ def test_config_validation(bad, message):
         MicaConfig(**bad)
 
 
+def _qkv(p_v=4, d_k=4):
+    """q, k and v arrays of shape (1, 2, 1, patches, dim): 4 patches of
+    dim 4, except ``p_v`` value patches and a key dim of ``d_k``."""
+    rng = np.random.default_rng(19)
+    return (rng.normal(size=(1, 2, 1, 4, 4)),
+            rng.normal(size=(1, 2, 1, 4, d_k)),
+            rng.normal(size=(1, 2, 1, p_v, 4)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: local_attention(*_qkv(p_v=3)), ShapeError,
+     "key and value patch counts differ"),
+    (lambda: global_memory(*_qkv(p_v=3)[1:]), ShapeError,
+     "keys (1, 2, 1, 4, 4) and values (1, 2, 1, 3, 4) differ before the "
+     "head dimension"),
+    (lambda: MicaAttention(8, MicaConfig(n_heads=2, d_k=4, d_v=4,
+                                         weight_mode="static"),
+                           np.random.default_rng(0)), ValueError,
+     "static channel weights need n_channels"),
+    (lambda: fused_forward(*_qkv(d_k=3), beta=0.0, block_rows=2,
+                           block_cols=2), ShapeError,
+     "fused path needs query dim == key dim"),
+], ids=["local_patches", "memory_patches", "static_weights", "fused_dims"])
+def test_rejected_attention_inputs_say_why(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
 def test_split_merge_heads_roundtrip():
     rng = np.random.default_rng(17)
     x = Tensor(rng.normal(size=(2, 3, 5, 12)))

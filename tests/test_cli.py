@@ -1,4 +1,6 @@
 import csv
+import threading
+import time
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from mica.cli import (main, model_config_from, parse_config,
                       train_config_from)
 from mica.data import ConfigError, gen_leadlag, write_csv
 from mica.tensor import Tensor
-from mica.training import TrainConfig
+from mica.training import TrainConfig, TrainingDivergedError
 
 TINY_CONF = """\
 # tiny end-to-end run
@@ -206,7 +208,7 @@ def test_exit_code_missing_dataset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd, text, message", [
-    ("flops", None, "config file not found"),
+    ("flops", None, "c.conf is not a file"),
     ("flops", "model.horizon 4\n", "c.conf:1: expected key = value"),
     ("flops", "model.d_model = 8\n",
      "missing required config keys: model.horizon"),
@@ -279,6 +281,24 @@ def test_eval_of_params_that_are_not_a_file_exits_2(workspace, capsys,
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("cmd, what", [
+    ("flops", "config"), ("train", "config"), ("train", "dataset")])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_config_or_dataset_that_is_not_a_file_exits_2(workspace, capsys,
+                                                        cmd, what, kind):
+    tmp, conf = workspace
+    path = tmp / "nope" if kind == "missing" else tmp
+    if what == "dataset":
+        conf.write_text(TINY_CONF.format(data=path))
+    out = tmp / "out"
+    args = [cmd, "--config", str(path if what == "config" else conf),
+            "--out", str(out)]
+    assert main(args) == 2
+    name = "--config" if what == "config" else "dataset"
+    assert capsys.readouterr().err == f"error: {name} {path} is not a file\n"
+    assert not out.exists()
+
+
 def test_train_rejects_negative_seeds_before_training(workspace, capsys,
                                                       monkeypatch):
     tmp, conf = workspace
@@ -343,6 +363,59 @@ def test_parallel_seeds_match_sequential(workspace):
     assert main(["train", "--config", str(conf), "--out", str(par),
                  "--parallel-seeds", "2"]) == 0
     assert read_text(seq / "summary.csv") == read_text(par / "summary.csv")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_seed_leaves_no_output(workspace, capsys, monkeypatch,
+                                        workers, failing):
+    tmp, conf = workspace
+    other_trained = threading.Event()
+    real_train = cli.train
+
+    def train(model, panel, cfg, seed):
+        if seed != failing:
+            report = real_train(model, panel, cfg, seed)
+            other_trained.set()
+            return report
+        # on two workers the failing seed outlasts the other one
+        if workers == "2":
+            assert other_trained.wait(timeout=60)
+        raise TrainingDivergedError(3, f"seed {seed} went NaN")
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp / "out"
+    assert main(["train", "--config", str(conf), "--out", str(out),
+                 "--parallel-seeds", workers]) == 1
+    assert capsys.readouterr().err == (
+        f"error: training diverged at step 3: seed {failing} went NaN\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_seed_starts_no_seed_still_queued(workspace, capsys,
+                                                   monkeypatch, failing):
+    tmp, conf = workspace
+    conf.write_text(conf.read_text().replace("train.seeds = 1,2",
+                                             "train.seeds = 1..6"))
+    started = []
+
+    def train(model, panel, cfg, seed):
+        # seed 1 outlasts the others, so a failed seed 2 ends before it
+        started.append(seed)
+        if seed == failing:
+            raise TrainingDivergedError(0, f"seed {seed} went NaN")
+        time.sleep(1.0 if seed == 1 else 0.2)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp / "out"
+    assert main(["train", "--config", str(conf), "--out", str(out),
+                 "--parallel-seeds", "2"]) == 1
+    assert f"seed {failing} went NaN" in capsys.readouterr().err
+    # the failed seed's worker may take seed 3 before the failure is seen;
+    # no later seed may start
+    assert sorted(started)[:2] == [1, 2] and max(started) <= 3
+    assert not out.exists()
 
 
 def test_eval_checks_digest_and_writes_outputs(workspace, capsys):

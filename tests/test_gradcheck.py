@@ -54,6 +54,19 @@ def test_gradcheck_every_op_in_vocabulary():
     assert report.passed, report.per_input
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1, (0, 2)])
+def test_gradcheck_sum_and_mean_over_axes_without_keepdims(axis):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=x.data.sum(axis=axis).shape))
+
+    def f():
+        return (x.sum(axis=axis) * w + x.mean(axis=axis) * w * w).sum()
+
+    report = gradcheck(f, [x])
+    assert report.passed, report.per_input
+
+
 def test_gradcheck_rejects_nondeterministic_fn():
     rng = np.random.default_rng(3)
     x = Tensor(np.ones(2), requires_grad=True)

@@ -1,9 +1,11 @@
+import re
 import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mica.nn import dropout
 from mica.tensor import (NonFiniteError, ShapeError, Tensor, _make,
                          _unbroadcast, checked_once, concat, div, gather_last,
                          gelu, layer_norm, matmul, no_grad, phi, phi_np,
@@ -429,6 +431,24 @@ def test_gather_last_forward_and_repeated_index_backward():
 def test_gather_index_out_of_range():
     with pytest.raises(ShapeError):
         gather_last(Tensor(np.zeros((2, 3))), np.array([3]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gather_last(Tensor(np.zeros((2, 3))), np.array([0.0, 1.0])),
+     "gather_last needs an integer index array"),
+], ids=["gather_float"])
+def test_rejected_tensor_inputs_say_why(build, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dropout(Tensor(np.ones(3)), 0.5, True, None),
+     "dropout in training mode needs an rng"),
+], ids=["dropout_rng"])
+def test_rejected_layer_inputs_say_why(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_no_grad_blocks_tape():

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -173,6 +174,28 @@ def test_early_stopping_restores_the_first_check_when_none_improve(
                for name, arr in states[0].items())
 
 
+def test_a_run_with_no_check_before_its_last_step_checks_there(monkeypatch):
+    stepped = []
+    step = Adam.step
+
+    def recorded(self, lr):
+        step(self, lr)
+        stepped.append([p.data.copy() for p in self.params])
+
+    monkeypatch.setattr(Adam, "step", recorded)
+    model = tiny_model()
+    cfg = TrainConfig(windows_batch=4, max_steps=5, val_check_every=10,
+                      seeds=(1,))
+    report = train(model, tiny_panel(), cfg, seed=1)
+    assert [s for s, _ in report.val_trace] == [5]
+    assert report.best_step == report.steps_run == 5
+    assert report.best_val_mae == report.val_trace[0][1]
+    # the final parameters are the ones kept
+    assert len(stepped) == 5
+    for p, last in zip(model.parameters(), stepped[-1]):
+        assert p.data.tobytes() == last.tobytes()
+
+
 def test_train_determinism_same_seed():
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=12, val_check_every=6,
@@ -215,6 +238,24 @@ def test_nan_written_by_the_last_step_is_caught_by_its_validation(
     with pytest.raises(TrainingDivergedError, match="'matmul'") as err:
         train(model, tiny_panel(), cfg, seed=1)
     assert err.value.step == 3
+
+
+def test_a_nan_at_the_last_step_of_a_run_without_checks_is_a_divergence(
+        monkeypatch):
+    # the check that a run makes at its last step, having made none
+    # before, ends the run like any other check that sees a NaN
+    step = Adam.step
+
+    def poisoned(self, lr):
+        step(self, lr)
+        if self.t == 3:
+            self.params[0].data[0] = np.nan
+
+    monkeypatch.setattr(Adam, "step", poisoned)
+    cfg = TrainConfig(windows_batch=4, max_steps=3, val_check_every=10)
+    with pytest.raises(TrainingDivergedError, match="'matmul'") as err:
+        train(tiny_model(), tiny_panel(), cfg, seed=1)
+    assert err.value.step == 2
 
 
 def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
@@ -383,6 +424,19 @@ def test_nan_window_in_a_later_group_raises_the_whole_batch_error():
         predict(model, ctx)
     assert str(grouped.value) == str(whole.value)
     assert "'standardize'" in str(grouped.value)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: rmse(np.zeros(3), np.zeros(4)), ShapeError,
+     "metric shapes differ: (3,) vs (4,)"),
+    (lambda: mae_loss(np.zeros((2, 3)), Tensor(np.zeros((3, 2)))), ShapeError,
+     "loss shapes differ: (2, 3) vs (3, 2)"),
+    (lambda: eval_windows(tiny_panel(), 8, 4, "train"), ConfigError,
+     "unknown split 'train'"),
+], ids=["rmse_shapes", "loss_shapes", "split"])
+def test_rejected_training_inputs_say_why(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_train_config_validation():
