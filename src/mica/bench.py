@@ -18,8 +18,10 @@ a config can run is decided by ``check_mechanisms``, before any work:
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -241,6 +243,28 @@ def set_blas_threads(n: int) -> None:
     if got != n:
         raise RuntimeError(f"BLAS pool reports {got} threads after asking "
                            f"for {n}")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def blas_threads_shared_by(workers: int):
+    """For the block, numpy's BLAS pool gets ``max(1, usable_cpus() //
+    workers)`` threads, an equal share for each of ``workers`` threads that
+    call BLAS at once.  Without a known BLAS control it is left alone."""
+    if _openblas() is None:
+        yield
+        return
+    previous = blas_threads()
+    set_blas_threads(max(1, usable_cpus() // workers))
+    try:
+        yield
+    finally:
+        set_blas_threads(previous)
 
 
 @dataclass

@@ -25,8 +25,8 @@ import numpy as np
 from .attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
 from .backbone import (HEAD_KINDS, ForecastModel, IntegrityError,
                        ModelConfig, config_digest, load_params, save_params)
-from .bench import (MECHANISMS, check_fit_sizes, fit_scaling, sweep_channels,
-                    sweep_lengths)
+from .bench import (MECHANISMS, blas_threads_shared_by, check_fit_sizes,
+                    fit_scaling, sweep_channels, sweep_lengths)
 from .data import (ConfigError, PanelDataset, chrono_split, input_file,
                    load_csv)
 from .tensor import NonFiniteError
@@ -260,13 +260,16 @@ def cmd_train(args) -> int:
         return model, train(model, panel, tcfg, seed)
 
     if args.parallel_seeds > 1:
-        pool = ThreadPoolExecutor(max_workers=args.parallel_seeds)
-        futures = [pool.submit(run_seed, seed) for seed in tcfg.seeds]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # a failure, or an interrupt, starts no seed still queued
-            pool.shutdown(cancel_futures=True)
+        # seeds share the CPUs: with a machine-wide BLAS pool each, they
+        # trained slower at once than one after the other
+        with blas_threads_shared_by(args.parallel_seeds):
+            pool = ThreadPoolExecutor(max_workers=args.parallel_seeds)
+            futures = [pool.submit(run_seed, seed) for seed in tcfg.seeds]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                # a failure, or an interrupt, starts no seed still queued
+                pool.shutdown(cancel_futures=True)
         # seeds start in order, so this raises the error a serial run would
         runs = [future.result() for future in futures]
     else:

@@ -2,9 +2,13 @@
 
 Every op records a backward closure on a tape; calling ``backward()`` on a
 scalar walks the tape in reverse topological order and accumulates gradients
-into ``.grad`` buffers.  A backward closure returns, per parent, None, a
-view of its incoming gradient, or an array it built; ``Tensor.backward``
-alone adds them up and decides which gradient buffers it may write.  The
+into ``.grad``.  A backward closure returns, per parent, None, a view of
+its incoming gradient, or an array it built, and ``Tensor.backward`` alone
+adds them up under one rule: a leaf keeps a writable copy of its first
+gradient and adds later ones into it; an interior node keeps its first
+gradient as is, rebinds ``.grad`` to a new sum for each later one, and
+drops it once its closure has run.  No array a closure returned is ever
+written, and after ``backward`` only leaves hold ``.grad``.  The
 op vocabulary is deliberately small: matmul (with an optional bias, so
 x @ W + b is one op), elementwise arithmetic with broadcasting, softmax
 over the last axis, the positive feature map phi(x) = ELU(x) + 1,
@@ -161,8 +165,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 ndarray plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
-                 "_borrowed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
@@ -171,7 +174,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
-        self._borrowed = False
 
     # -- introspection -----------------------------------------------------
     @property
@@ -196,50 +198,25 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool) -> None:
-        """Add ``g`` into ``.grad``; called only by ``backward``.
-
-        A backward closure returns, per parent, None, a view of its
-        incoming gradient, or an array it built.  ``owned`` means ``g`` is
-        such a built array, which nothing else holds; otherwise it may be a
-        view, an array lent to another parent too, or read-only.  A leaf
-        (no ``_backward``) takes an owned first gradient as is and copies
-        any other, so parameters and inputs always own a writable
-        ``.grad``.  An interior node borrows its first gradient whatever
-        it is, and never writes into a borrowed one: a later contribution
-        replaces it with an owned sum, built in the incoming array when
-        that is owned and full-shape.  Owned grads accumulate in place.
-        """
-        if self.grad is None:
-            self._borrowed = not owned and self._backward is not None
-            if owned or self._borrowed:
-                self.grad = np.asarray(g)     # a 0-d product is a numpy scalar
-            else:
-                self.grad = np.empty_like(self.data)
-                self.grad[...] = g
-        elif self._borrowed:
-            if owned and g.shape == self.data.shape:
-                g += self.grad
-                self.grad = g
-            else:
-                self.grad = self.grad + g
-            self._borrowed = False
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, which is never written, into ``.grad`` by the rule
+        in the module docstring; called only by ``backward``."""
+        if self._backward is not None:
+            self.grad = g if self.grad is None else self.grad + g
+        elif self.grad is None:
+            self.grad = np.array(g)
         else:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into ``.grad`` buffers.
+        """Backpropagate from a scalar into the leaves' ``.grad``; each
+        interior ``.grad`` is dropped once its closure has run.
 
         Interior grads are reset first, so each call propagates only its
-        own seed; leaf grads keep accumulating until ``zero_grad``.  Each
-        closure returns, per parent, None, a view of its incoming gradient,
-        or an array it built, and they are added in parent order.  An entry
-        is owned, so ``_accumulate`` may write into it, unless it is
-        read-only or ``np.may_share_memory`` says it may overlap the
-        incoming gradient or another entry of the same tuple.  Every
-        interior node receives all its contributions before its closure
-        lends views of its grad to its parents, and the next call rebinds
-        rather than mutates that grad, so a lent buffer is never written.
+        own seed, also after a closure raised part-way through a pass;
+        leaf grads keep accumulating until ``zero_grad``.  Contributions
+        are added in parent order, and every interior node receives all
+        of its own before its closure runs.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -256,26 +233,22 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node._parents)
         for node in topo:
             if node._backward is not None:
                 node.grad = None
-        self._accumulate(np.ones_like(self.data), owned=True)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
-            g = node.grad
-            grads = node._backward(g)
+            grads = node._backward(node.grad)
+            node.grad = None
             if len(grads) != len(node._parents):
                 raise ShapeError(f"a backward returned {len(grads)} gradients "
                                  f"for {len(node._parents)} inputs")
-            for i, (p, pg) in enumerate(zip(node._parents, grads)):
+            for p, pg in zip(node._parents, grads):
                 if pg is not None:
-                    p._accumulate(pg, owned=pg.flags.writeable and not any(
-                        o is not None and np.may_share_memory(pg, o)
-                        for o in (g, *grads[:i], *grads[i + 1:])))
+                    p._accumulate(pg)
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):

@@ -9,13 +9,13 @@ found ends the run with ``TrainingDivergedError``, which names the op.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backbone import ForecastModel
+from .bench import usable_cpus
 from .data import ConfigError, PanelDataset
 from .tensor import NonFiniteError, ShapeError, Tensor, no_grad, tabs
 
@@ -203,9 +203,7 @@ def windows_per_forward(model: ForecastModel, batch: int) -> int:
 # one worker per CPU this process may use, shared by every ``predict`` call
 # (so the ``--parallel-seeds`` validation passes too); numpy and BLAS
 # kernels release the GIL, so the workers' forwards run at once
-_POOL = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))
-                           if hasattr(os, "sched_getaffinity")
-                           else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max_workers=usable_cpus())
 
 
 def predict(model: ForecastModel, ctx: np.ndarray,

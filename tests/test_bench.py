@@ -6,7 +6,8 @@ from mica import bench
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
-                        check_fit_sizes, count_flops, count_params,
+                        blas_threads_shared_by, check_fit_sizes, count_flops,
+                        count_params,
                         fit_scaling, measure_latency, set_blas_threads,
                         sweep_channels, sweep_lengths)
 from mica.tensor import no_grad
@@ -223,6 +224,34 @@ def test_measure_latency_pins_then_restores_pool(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         measure_latency(lambda: 1 / 0, repeats=1, warmup=0)
     assert fake.threads == 2
+
+
+@pytest.mark.parametrize("cpus, workers, share", [(2, 2, 1), (2, 3, 1),
+                                                   (8, 2, 4), (8, 3, 2)])
+def test_blas_threads_shared_by_pins_then_restores_pool(monkeypatch, cpus,
+                                                        workers, share):
+    fake = FakeBlas(5)
+    monkeypatch.setattr(bench, "_openblas", fake.controls)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: cpus)
+    with blas_threads_shared_by(workers):
+        assert fake.threads == share
+    assert fake.threads == 5
+    with pytest.raises(ZeroDivisionError):
+        with blas_threads_shared_by(workers):
+            1 / 0
+    assert fake.threads == 5
+
+
+def test_blas_threads_shared_by_leaves_an_unknown_blas_alone(monkeypatch):
+    def refuse(n):
+        raise AssertionError("no BLAS control to set")
+
+    monkeypatch.setattr(bench, "_openblas", lambda: None)
+    monkeypatch.setattr(bench, "set_blas_threads", refuse)
+    ran = []
+    with blas_threads_shared_by(2):
+        ran.append(1)
+    assert ran == [1]
 
 
 def test_measure_latency_restores_real_pool():

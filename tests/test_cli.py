@@ -365,6 +365,28 @@ def test_parallel_seeds_match_sequential(workspace):
     assert read_text(seq / "summary.csv") == read_text(par / "summary.csv")
 
 
+@pytest.mark.parametrize("workers, during", [("1", [4, 4]), ("2", [2, 2])])
+def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
+                                            during):
+    # seeds trained at once split the usable CPUs between their BLAS calls
+    tmp, conf = workspace
+    blas = {"threads": 4}
+    monkeypatch.setattr(bench, "_openblas", lambda: (
+        lambda: blas["threads"], lambda n: blas.update(threads=n)))
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 4)
+    seen, real_train = [], cli.train
+
+    def train(*args):
+        seen.append(blas["threads"])
+        return real_train(*args)
+
+    monkeypatch.setattr(cli, "train", train)
+    assert main(["train", "--config", str(conf), "--out", str(tmp / "out"),
+                 "--parallel-seeds", workers]) == 0
+    assert seen == during
+    assert blas["threads"] == 4
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("failing", [1, 2])
 def test_a_failed_seed_leaves_no_output(workspace, capsys, monkeypatch,

@@ -192,7 +192,7 @@ def test_second_backward_propagates_only_its_own_seed():
     h.sum().backward()
     (h * 2.0).sum().backward()
     npt.assert_allclose(x.grad, np.full(3, 9.0), atol=0)
-    npt.assert_allclose(h.grad, np.full(3, 2.0), atol=0)
+    assert h.grad is None
 
 
 def test_borrowed_gradient_is_never_written():
@@ -210,8 +210,7 @@ def test_borrowed_gradient_is_never_written():
     (s * Tensor(w)).sum().backward()
     npt.assert_array_equal(x.grad, 2.0 * (w * y.data + w))
     npt.assert_array_equal(y.grad, w * (2.0 * x.data))
-    npt.assert_array_equal(b.grad, w)
-    npt.assert_array_equal(s.grad, w)
+    assert b.grad is None and s.grad is None
 
     # a sum's read-only broadcast lent as a first gradient, then added to
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)

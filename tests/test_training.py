@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -76,6 +77,18 @@ def test_adam_first_step_and_convergence():
         ((x - 3.0) * (x - 3.0)).backward()
         opt.step(0.1)
     npt.assert_allclose(x.data, 3.0, atol=1e-2)
+
+
+def test_adam_leaves_a_parameter_without_gradient_alone():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = Tensor(np.array([3.0]), requires_grad=True)
+    opt = Adam([x, y])
+    (x * x).sum().backward()
+    assert y.grad is None
+    opt.step(0.1)
+    assert (x.data != [1.0, -2.0]).all() and opt.m[0].all()
+    npt.assert_array_equal(y.data, [3.0])
+    assert not opt.m[1].any() and not opt.v[1].any()
 
 
 def test_sample_windows_stay_inside_train_split():
@@ -313,6 +326,47 @@ def quickstart_model(mica: dict | None, concat: bool = False, **over):
                       mica=None if mica is None else MicaConfig(**heads,
                                                                 **mica))
     return ForecastModel(cfg, 7, seed=1, concat=concat)
+
+
+def quickstart_step():
+    """The quick-start model and the loss of one B=64 training forward."""
+    model = quickstart_model({})
+    rng = np.random.default_rng(0)
+    ctx, tgt = rng.normal(size=(64, 7, 96)), rng.normal(size=(64, 7, 24))
+    return model, mae_loss(tgt, model.forward(ctx, training=True, rng=rng))
+
+
+def test_after_backward_only_the_parameters_hold_gradients():
+    model, loss = quickstart_step()
+    seen, stack, interior = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                interior.append(node)
+            stack.extend(node._parents)
+    loss.backward()
+    assert len(interior) > 50
+    assert all(node.grad is None for node in interior)
+    grads = [p.grad for p in model.parameters()]
+    for i, g in enumerate(grads):
+        assert g.flags.writeable and g.flags.owndata
+        assert not any(np.shares_memory(g, o) for o in grads[i + 1:])
+
+
+def test_quick_start_backward_allocates_under_32_mib():
+    # each interior gradient is dropped once its closure has run; kept to
+    # the end of backward, they peaked at 96.5 MiB
+    _, loss = quickstart_step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 32 * 2 ** 20, (peak - before) / 2 ** 20
 
 
 PREDICT_MODELS = {
