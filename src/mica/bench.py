@@ -18,7 +18,6 @@ a config can run is decided by ``check_mechanisms``, before any work:
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -251,20 +250,15 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-@contextlib.contextmanager
-def blas_threads_shared_by(workers: int):
-    """For the block, numpy's BLAS pool gets ``max(1, usable_cpus() //
-    workers)`` threads, an equal share for each of ``workers`` threads that
-    call BLAS at once.  Without a known BLAS control it is left alone."""
-    if _openblas() is None:
-        yield
-        return
-    previous = blas_threads()
-    set_blas_threads(max(1, usable_cpus() // workers))
-    try:
-        yield
-    finally:
-        set_blas_threads(previous)
+def one_blas_thread() -> bool:
+    """Give numpy's BLAS pool one thread, if a control for it is known;
+    returns whether the pool now reports one thread."""
+    controls = _openblas()
+    if controls is None:
+        return False
+    get, put = controls
+    put(1)
+    return get() == 1
 
 
 @dataclass

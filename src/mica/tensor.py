@@ -1,15 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every op records a backward closure on a tape; calling ``backward()`` on a
-scalar walks the tape in reverse topological order and accumulates gradients
-into ``.grad``.  A backward closure returns, per parent, None, a view of
-its incoming gradient, or an array it built, and ``Tensor.backward`` alone
-adds them up under one rule: a leaf keeps a writable copy of its first
-gradient and adds later ones into it; an interior node keeps its first
+Every op records a backward closure on a tape.  ``leaf_grads(root)``
+walks the tape from a scalar in reverse topological order and returns
+each reached leaf's gradient; ``backward()`` is that walk plus the add
+into each leaf's ``.grad``.  A backward closure returns, per parent, None,
+a view of its incoming gradient, or an array it built, and the walk alone
+adds them up under one rule: a leaf's gradients are summed into a
+writable copy of its first one; an interior node keeps its first
 gradient as is, rebinds ``.grad`` to a new sum for each later one, and
 drops it once its closure has run.  No array a closure returned is ever
-written, and after ``backward`` only leaves hold ``.grad``.  The
-op vocabulary is deliberately small: matmul (with an optional bias, so
+written, the walk writes no leaf, and after it no interior node holds
+``.grad``.  So threads may walk graphs that share only their leaves at
+once, as a training step's window groups do.  The op vocabulary is deliberately small: matmul (with an optional bias, so
 x @ W + b is one op), elementwise arithmetic with broadcasting, softmax
 over the last axis, the positive feature map phi(x) = ELU(x) + 1,
 sigmoid, gelu, layer_norm of a residual sum over the last axis (a
@@ -198,57 +200,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g``, which is never written, into ``.grad`` by the rule
-        in the module docstring; called only by ``backward``."""
-        if self._backward is not None:
-            self.grad = g if self.grad is None else self.grad + g
-        elif self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
-        """Backpropagate from a scalar into the leaves' ``.grad``; each
-        interior ``.grad`` is dropped once its closure has run.
-
-        Interior grads are reset first, so each call propagates only its
-        own seed, also after a closure raised part-way through a pass;
-        leaf grads keep accumulating until ``zero_grad``.  Contributions
-        are added in parent order, and every interior node receives all
-        of its own before its closure runs.
-        """
-        if self.data.size != 1:
-            raise ShapeError(
-                f"backward() requires a scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((p, False) for p in node._parents)
-        for node in topo:
-            if node._backward is not None:
-                node.grad = None
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
-                continue
-            grads = node._backward(node.grad)
-            node.grad = None
-            if len(grads) != len(node._parents):
-                raise ShapeError(f"a backward returned {len(grads)} gradients "
-                                 f"for {len(node._parents)} inputs")
-            for p, pg in zip(node._parents, grads):
-                if pg is not None:
-                    p._accumulate(pg)
+        """Backpropagate from a scalar: add each of ``leaf_grads(self)``
+        into its leaf's ``.grad``, which keeps accumulating until
+        ``zero_grad``."""
+        for leaf, g in leaf_grads(self):
+            if leaf.grad is None:
+                leaf.grad = g
+            else:
+                leaf.grad += g
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -282,6 +242,60 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
+    """(leaf, gradient) pairs for each leaf the scalar ``root`` reaches,
+    in the order the walk first reaches them; each gradient is a new
+    writable array.  Gradients are added by the rule in the module
+    docstring, each in parent order, and every interior node has all of
+    its own before its closure runs.  Interior grads are reset first, so
+    each walk propagates only its own seed, also after a closure raised
+    part-way through an earlier one."""
+    if root.data.size != 1:
+        raise ShapeError(
+            f"backward() requires a scalar, got shape {root.shape}")
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents)
+    for node in topo:
+        if node._backward is not None:
+            node.grad = None
+    leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
+
+    def add(node: Tensor, g: np.ndarray) -> None:
+        # no array a closure returned is ever written
+        if node._backward is not None:
+            node.grad = g if node.grad is None else node.grad + g
+        elif id(node) in leaves:
+            total = leaves[id(node)][1]
+            total += g
+        else:
+            leaves[id(node)] = (node, np.array(g))
+
+    add(root, np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        grads = node._backward(node.grad)
+        node.grad = None
+        if len(grads) != len(node._parents):
+            raise ShapeError(f"a backward returned {len(grads)} gradients "
+                             f"for {len(node._parents)} inputs")
+        for p, pg in zip(node._parents, grads):
+            if pg is not None:
+                add(p, pg)
+    return list(leaves.values())
 
 
 def records(parents: Sequence[Tensor]) -> bool:

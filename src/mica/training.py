@@ -6,18 +6,28 @@ on a fixed tiling of the validation split, and at the last step if none came
 before.  The best-validation parameters are restored before test metrics are
 computed.  Every forward and loss op is checked for NaN/Inf; the first one
 found ends the run with ``TrainingDivergedError``, which names the op.
+
+Training steps and ``predict`` split their windows into cache-sized groups
+and run them on one module-level pool with a worker per usable CPU.  A
+step's groups each take a forward, their share of the loss and their leaf
+gradients (``tensor.leaf_grads``) at once; the step sums them in group
+order, so its bits do not depend on scheduling.  Importing the module
+gives numpy's bundled OpenBLAS one thread per call, since the pool
+already uses every core.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backbone import ForecastModel
-from .bench import usable_cpus
+from .bench import one_blas_thread, usable_cpus
 from .data import ConfigError, PanelDataset
-from .tensor import NonFiniteError, ShapeError, Tensor, no_grad, tabs
+from .tensor import (NonFiniteError, ShapeError, Tensor, leaf_grads, no_grad,
+                     tabs)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -186,9 +196,20 @@ def eval_windows(panel: PanelDataset, input_size: int, horizon: int,
 CACHE_BUDGET = 1 << 20
 
 
+# one worker per CPU this process may use, shared by every ``predict`` call
+# and training step (so by ``--parallel-seeds`` too); numpy and BLAS
+# kernels release the GIL, so the workers' groups run at once.  BLAS gets
+# one thread: with two per call as well, a pooled quick-start step took
+# 282-333 ms on 2 cores, against 140-168 ms
+POOL_WORKERS = usable_cpus()
+_POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS)
+BLAS_ONE_THREAD = one_blas_thread()
+
+
 def windows_per_forward(model: ForecastModel, batch: int) -> int:
-    """How many windows ``predict`` runs per forward: at most ``batch``,
-    and as many as keep the widest per-token activation (d_model,
+    """How many windows ``predict`` and a training step run per forward:
+    at most ``ceil(batch / POOL_WORKERS)``, so a batch spreads over every
+    worker, and as many as keep the widest per-token activation (d_model,
     ff_hidden or a gate MLP layer) of the forward in ``CACHE_BUDGET``."""
     if batch < 1:
         raise ConfigError(f"batch must be positive, got {batch}")
@@ -197,13 +218,8 @@ def windows_per_forward(model: ForecastModel, batch: int) -> int:
                    for w in pair]
     widest = max([cfg.d_model, cfg.ff_hidden] + gate_widths)
     window_bytes = 8 * model.n_channels * model.n_patches * widest
-    return min(batch, max(1, CACHE_BUDGET // window_bytes))
-
-
-# one worker per CPU this process may use, shared by every ``predict`` call
-# (so the ``--parallel-seeds`` validation passes too); numpy and BLAS
-# kernels release the GIL, so the workers' forwards run at once
-_POOL = ThreadPoolExecutor(max_workers=usable_cpus())
+    return min(math.ceil(batch / POOL_WORKERS),
+               max(1, CACHE_BUDGET // window_bytes))
 
 
 def predict(model: ForecastModel, ctx: np.ndarray,
@@ -237,14 +253,34 @@ def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
     return mae(tgt, pred), rmse(tgt, pred)
 
 
+def _group_step(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
+                rng: np.random.Generator, batch: int):
+    """One window group's share of a training step: its loss, ``mae_loss``
+    over the group scaled by its share of the ``batch`` windows, and the
+    leaf gradients of that loss.  The group's graph dies on return."""
+    loss = mae_loss(tgt, model.forward(ctx, training=True, rng=rng)) * (
+        len(ctx) / batch)
+    return loss.item(), leaf_grads(loss)
+
+
 def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
           seed: int) -> TrainReport:
-    """Train one model; returns traces and test metrics at the best check."""
+    """Train one model; returns traces and test metrics at the best check.
+
+    A step runs its ``windows_batch`` windows in ``windows_per_forward``
+    groups on the pool, each with dropout masks from a generator of its
+    own, spawned from the step's rng in group order.  Adam steps once on
+    the group gradients summed in group order.  A non-finite value ends
+    the run with the error of the earliest group that has one."""
     panel.require_split()
     rng = np.random.default_rng(seed)
-    opt = Adam(model.parameters())
+    params = model.parameters()
+    opt = Adam(params)
     input_size = model.config.input_size
     horizon = model.config.horizon
+    batch = cfg.windows_batch
+    group = windows_per_forward(model, batch)
+    parts = [slice(start, start + group) for start in range(0, batch, group)]
     val_ctx, val_tgt = eval_windows(panel, input_size, horizon, "val")
 
     train_trace: list[tuple[int, float]] = []
@@ -254,16 +290,26 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
 
     try:
         for step in range(cfg.max_steps):
-            ctx, tgt = sample_windows(panel, input_size, horizon,
-                                      cfg.windows_batch, rng)
-            pred = model.forward(ctx, training=True, rng=rng)
-            loss = mae_loss(tgt, pred)
-            loss_val = loss.item()
-            model.zero_grad()
-            loss.backward()
+            ctx, tgt = sample_windows(panel, input_size, horizon, batch, rng)
+            # spawning leaves rng's state, so its window draws, unchanged
+            rngs = [np.random.default_rng(s) for s in
+                    rng.bit_generator.seed_seq.spawn(len(parts))]
+            loss_val, grads = 0.0, {}
+            # results come back in group order, so the first error raised
+            # is the earliest failing group's
+            for loss_g, pairs in _POOL.map(
+                    lambda part, g_rng: _group_step(
+                        model, ctx[part], tgt[part], g_rng, batch),
+                    parts, rngs):
+                loss_val += loss_g
+                for leaf, g in pairs:
+                    if id(leaf) in grads:
+                        grads[id(leaf)] += g
+                    else:
+                        grads[id(leaf)] = g
+            for p in params:
+                p.grad = grads.get(id(p))
             opt.step(lr_at(step, cfg))
-            # the graph and its interior grads must not outlive the step
-            del pred, loss
             steps_run = step + 1
             train_trace.append((steps_run, loss_val))
 

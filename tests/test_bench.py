@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mica
 from mica import bench
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
-                        blas_threads_shared_by, check_fit_sizes, count_flops,
-                        count_params,
-                        fit_scaling, measure_latency, set_blas_threads,
-                        sweep_channels, sweep_lengths)
+                        check_fit_sizes, count_flops, count_params,
+                        fit_scaling, measure_latency, one_blas_thread,
+                        set_blas_threads, sweep_channels, sweep_lengths)
 from mica.tensor import no_grad
 
 
@@ -226,32 +231,33 @@ def test_measure_latency_pins_then_restores_pool(monkeypatch):
     assert fake.threads == 2
 
 
-@pytest.mark.parametrize("cpus, workers, share", [(2, 2, 1), (2, 3, 1),
-                                                   (8, 2, 4), (8, 3, 2)])
-def test_blas_threads_shared_by_pins_then_restores_pool(monkeypatch, cpus,
-                                                        workers, share):
-    fake = FakeBlas(5)
+def test_one_blas_thread_pins_a_known_pool(monkeypatch):
+    fake = FakeBlas(4)
     monkeypatch.setattr(bench, "_openblas", fake.controls)
-    monkeypatch.setattr(bench, "usable_cpus", lambda: cpus)
-    with blas_threads_shared_by(workers):
-        assert fake.threads == share
-    assert fake.threads == 5
-    with pytest.raises(ZeroDivisionError):
-        with blas_threads_shared_by(workers):
-            1 / 0
-    assert fake.threads == 5
-
-
-def test_blas_threads_shared_by_leaves_an_unknown_blas_alone(monkeypatch):
-    def refuse(n):
-        raise AssertionError("no BLAS control to set")
-
+    assert one_blas_thread() and fake.threads == 1
+    # a pool that does not take the size is reported, not raised on
+    stuck = (FakeBlas(2).controls()[0], lambda n: None)
+    monkeypatch.setattr(bench, "_openblas", lambda: stuck)
+    assert not one_blas_thread()
+    # a BLAS with no known control is left as it is
     monkeypatch.setattr(bench, "_openblas", lambda: None)
-    monkeypatch.setattr(bench, "set_blas_threads", refuse)
-    ran = []
-    with blas_threads_shared_by(2):
-        ran.append(1)
-    assert ran == [1]
+    assert not one_blas_thread()
+
+
+def test_importing_mica_gives_blas_one_thread():
+    # where the pool runs, each BLAS call gets one thread, whatever the
+    # environment asked for
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(mica.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "from mica import bench, training; "
+         "known = bench._openblas() is not None; "
+         "print(known, training.BLAS_ONE_THREAD, "
+         "known and bench.blas_threads())"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out in (["True", "True", "1"], ["False", "False", "False"])
 
 
 def test_measure_latency_restores_real_pool():

@@ -8,8 +8,8 @@ import pytest
 from mica.nn import dropout
 from mica.tensor import (NonFiniteError, ShapeError, Tensor, _make,
                          _unbroadcast, checked_once, concat, div, gather_last,
-                         gelu, layer_norm, matmul, no_grad, phi, phi_np,
-                         sigmoid, softmax_lastdim, sqrt, tabs)
+                         gelu, layer_norm, leaf_grads, matmul, no_grad, phi,
+                         phi_np, sigmoid, softmax_lastdim, sqrt, tabs)
 
 
 def test_softmax_known_values():
@@ -193,6 +193,36 @@ def test_second_backward_propagates_only_its_own_seed():
     (h * 2.0).sum().backward()
     npt.assert_allclose(x.grad, np.full(3, 9.0), atol=0)
     assert h.grad is None
+
+
+def test_leaf_grads_write_no_leaf_and_equal_what_backward_adds():
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    x = Tensor(rng.normal(size=(5, 4)))
+
+    def loss():
+        h = gelu(matmul(x, w, b))
+        # w and b reach the loss twice, so their pairs are sums
+        return (tabs(h * h).sum() + (h * b).sum() + matmul(h, w.swapaxes(
+            0, 1)).sum()) * 0.5
+
+    root = loss()
+    pairs = leaf_grads(root)
+    # one pair per leaf that needs a gradient, in an order fixed by the graph
+    assert sorted(map(id, (leaf for leaf, _ in pairs))) == sorted(
+        map(id, (w, b)))
+    assert [leaf for leaf, _ in leaf_grads(loss())] == [
+        leaf for leaf, _ in pairs]
+    assert w.grad is None and b.grad is None and x.grad is None
+    # the walk leaves no interior gradient behind either
+    assert root.grad is None
+    for leaf, g in pairs:
+        assert g.flags.writeable and g.flags.owndata
+    # backward is the walk plus the add: the same bits land in .grad
+    loss().backward()
+    for leaf, g in pairs:
+        assert leaf.grad.tobytes() == g.tobytes()
 
 
 def test_borrowed_gradient_is_never_written():

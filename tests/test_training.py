@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,115 @@ def test_train_determinism_same_seed():
     assert r3.train_trace != r1.train_trace
 
 
+def test_pooled_steps_track_a_whole_batch_backward(monkeypatch):
+    # the group losses and gradients, summed in group order, are the
+    # whole-batch loss and gradient up to rounding
+    monkeypatch.setattr(training, "POOL_WORKERS", 4)      # 4 groups of 2
+    panel, steps = tiny_panel(), 24
+    cfg = TrainConfig(windows_batch=8, max_steps=steps,
+                      val_check_every=steps, seeds=(1,))
+    pooled, whole = tiny_model(), tiny_model()
+    report = train(pooled, panel, cfg, seed=3)
+    rng, opt, losses = np.random.default_rng(3), Adam(whole.parameters()), []
+    for step in range(steps):
+        ctx, tgt = sample_windows(panel, 8, 4, 8, rng)
+        loss = mae_loss(tgt, whole.forward(ctx, training=True))
+        losses.append(loss.item())
+        whole.zero_grad()
+        loss.backward()
+        opt.step(lr_at(step, cfg))
+    got = np.array([loss for _, loss in report.train_trace])
+    npt.assert_allclose(got, losses, rtol=1e-12, atol=0)
+    assert got.tobytes() != np.array(losses).tobytes()   # really reordered
+    for p, q in zip(pooled.parameters(), whole.parameters()):
+        assert np.abs(p.data - q.data).max() <= 1e-12 * np.abs(q.data).max()
+
+
+def test_dropout_masks_do_not_depend_on_the_pool(monkeypatch):
+    # each group draws its masks from a generator of its own, spawned in
+    # group order, so one worker or two give the same bits, run after run
+    monkeypatch.setattr(training, "POOL_WORKERS", 4)
+    panel = tiny_panel()
+    cfg = TrainConfig(windows_batch=8, max_steps=6, val_check_every=3,
+                      seeds=(1,))
+    without = train(tiny_model(), panel, cfg, seed=5)
+    runs = []
+    for workers in (1, 2, 2):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(training, "_POOL", pool)
+            model = tiny_model(dropout=0.3)
+            report = train(model, panel, cfg, seed=5)
+        runs.append((report.train_trace, report.test_mae,
+                     [p.data.tobytes() for p in model.parameters()]))
+    assert runs[0] == runs[1] == runs[2]
+    assert without.train_trace != runs[0][0]
+
+
+def test_concurrent_train_calls_each_get_the_serial_run(monkeypatch):
+    # as --parallel-seeds does: more trainers than cores put their groups
+    # on the shared pool at once, with thread switches forced often; a walk
+    # that wrote a shared parameter would change some run's bits
+    monkeypatch.setattr(training, "POOL_WORKERS", 4)
+    panel = tiny_panel()
+    cfg = TrainConfig(windows_batch=8, max_steps=4, val_check_every=2,
+                      seeds=(1,))
+
+    def run(seed):
+        model = tiny_model(dropout=0.2)
+        report = train(model, panel, cfg, seed=seed)
+        return (report.train_trace, [p.data.tobytes()
+                                     for p in model.parameters()])
+
+    want = [run(seed) for seed in (1, 2, 3)]
+    got = [None] * 3
+
+    def store(i):
+        got[i] = run(i + 1)
+
+    threads = [threading.Thread(target=store, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_window_in_a_later_group_ends_the_run_as_one_group_does(
+        monkeypatch):
+    def poisoned(where):
+        def sample(*args):
+            ctx, tgt = sample_windows(*args)
+            for arr, window in where:
+                (ctx, tgt)[arr][window, 1, 2] = np.nan
+            return ctx, tgt
+        return sample
+
+    cfg = TrainConfig(windows_batch=4, max_steps=3, val_check_every=3)
+    errors = []
+    # one group of 4, then groups of 2 with the NaN in the second
+    for workers in (1, 2):
+        monkeypatch.setattr(training, "POOL_WORKERS", workers)
+        monkeypatch.setattr(training, "sample_windows", poisoned([(0, 3)]))
+        with pytest.raises(TrainingDivergedError) as err:
+            train(tiny_model(), tiny_panel(), cfg, seed=1)
+        errors.append((err.value.step, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0] == (0, "training diverged at step 0: non-finite values "
+                            "produced by op 'standardize'")
+    # both groups fail, the first in its loss: the first group's op is named
+    monkeypatch.setattr(training, "sample_windows",
+                        poisoned([(1, 0), (0, 3)]))
+    with pytest.raises(TrainingDivergedError, match="'sub'"):
+        train(tiny_model(), tiny_panel(), cfg, seed=1)
+
+
 def test_divergence_aborts_with_step_index():
     model = tiny_model()
     bad = model.parameters()[0]
@@ -289,32 +399,41 @@ def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, lr: per_step.append(
         len(counted)) or step(self, lr))
+    monkeypatch.setattr(training, "POOL_WORKERS", 2)  # 2 groups of 1
     train(model, panel, TrainConfig(windows_batch=2, max_steps=2,
                                     val_check_every=5), seed=0)
-    # the forward as in test_backbone (per layer, local_attention's q, k,
-    # v, global_memory's k, v, global_attention's q, M, z and sigmoid's
-    # beta; then the forecast), then the loss's sub, abs, sum and mul, per op
-    assert per_step == [2 * (3 + 2 + 3 + 1) + 1 + 4] * 2
+    # per group, the forward as in test_backbone (per layer,
+    # local_attention's q, k, v, global_memory's k, v, global_attention's
+    # q, M, z and sigmoid's beta; then the forecast), then per op the
+    # loss's sub, abs, sum and mul and its scaling by the group's share
+    assert per_step == [2 * (2 * (3 + 2 + 3 + 1) + 1 + 5)] * 2
 
 
-def test_train_frees_each_step_before_the_next_forward():
-    # a step's graph holds its activations and interior grads; none of it
-    # may still be alive when the next step's forward allocates its own
+def test_train_frees_each_step_before_the_next_forward(monkeypatch):
+    # a group's graph holds its activations and interior grads; no graph
+    # of a step may still be alive when the next step's groups forward
     model, panel = tiny_model(), tiny_panel()
     forward, forecasts, alive = model.forward, [], []
+    steps = []
+    sample = training.sample_windows
+    monkeypatch.setattr(training, "sample_windows",
+                        lambda *a: steps.append(1) or sample(*a))
+    monkeypatch.setattr(training, "POOL_WORKERS", 2)  # 2 groups of 2
 
     def watched(*args, **kwargs):
+        step = len(steps)
         if kwargs.get("training"):
-            alive.append([ref() is not None for ref in forecasts])
+            alive.append([ref() is not None for s, ref in forecasts
+                          if s < step])
         out = forward(*args, **kwargs)
         if kwargs.get("training"):
-            forecasts.append(weakref.ref(out.data))
+            forecasts.append((step, weakref.ref(out.data)))
         return out
 
     model.forward = watched
     train(model, panel, TrainConfig(windows_batch=4, max_steps=4,
                                     val_check_every=2, seeds=(0,)), seed=0)
-    assert alive == [[], [False], [False] * 2, [False] * 3]
+    assert sorted(alive) == sorted([[False] * 2 * n for n in range(4)] * 2)
 
 
 def quickstart_model(mica: dict | None, concat: bool = False, **over):
@@ -405,11 +524,21 @@ def test_predict_in_window_groups_is_one_whole_batch_forward(
 
 def test_windows_per_forward_fit_the_cache_budget(monkeypatch):
     model = quickstart_model({})
-    assert windows_per_forward(model, 64) == 12
-    assert windows_per_forward(model, 5) == 5
+    # criterion 8's model (C=8, P=2) fits 64 windows in the budget
+    c8 = ForecastModel(ModelConfig(
+        horizon=8, input_size=16, n_layers=2, d_model=64, n_heads=4,
+        ff_hidden=128, d_k=16, d_v=16, patch_len=8, stride=8,
+        mica=MicaConfig(n_heads=4, d_k=16, d_v=16)), 8)
     sizes = forward_sizes(model, monkeypatch)
-    predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
-    assert sorted(sizes) == [1, 5, 5]
+    for workers, group, groups in [(1, 5, [1, 5, 5]), (2, 3, [2, 3, 3, 3])]:
+        monkeypatch.setattr(training, "POOL_WORKERS", workers)
+        assert windows_per_forward(model, 64) == 12
+        # a batch that fits one cache group is spread over every worker
+        assert windows_per_forward(model, 5) == group
+        assert windows_per_forward(c8, 32) == 32 // workers
+        sizes.clear()
+        predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
+        assert sorted(sizes) == groups
     # criterion 6's THIN model at C=512 takes one window per forward
     thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
                        n_heads=2, ff_hidden=64, d_k=16, d_v=16,
