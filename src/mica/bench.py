@@ -219,29 +219,13 @@ def _openblas():
     return None
 
 
-def _blas_controls():
+def blas_threads() -> int:
+    """Thread count of numpy's BLAS pool."""
     controls = _openblas()
     if controls is None:
         raise RuntimeError("no known BLAS thread control in numpy's bundled "
                            "libraries; cannot verify single-thread execution")
-    return controls
-
-
-def blas_threads() -> int:
-    """Thread count of numpy's BLAS pool."""
-    return int(_blas_controls()[0]())
-
-
-def set_blas_threads(n: int) -> None:
-    """Resize numpy's BLAS pool to ``n`` threads and verify it took."""
-    if n < 1:
-        raise ValueError(f"BLAS threads must be >= 1, got {n}")
-    get, put = _blas_controls()
-    put(n)
-    got = get()
-    if got != n:
-        raise RuntimeError(f"BLAS pool reports {got} threads after asking "
-                           f"for {n}")
+    return int(controls[0]())
 
 
 def usable_cpus() -> int:
@@ -268,22 +252,23 @@ class LatencyStats:
 
 
 def measure_latency(fn, repeats: int = 100, warmup: int = 10) -> LatencyStats:
-    """Mean wall-clock of ``fn()`` after warmup runs.  BLAS is pinned to
-    one thread for the length of the call, then restored."""
+    """Mean wall-clock of ``fn()`` after warmup runs.  Importing mica
+    gives numpy's BLAS one thread for the whole process
+    (``training.BLAS_ONE_THREAD``); this only checks that it still has
+    one, and raises ``RuntimeError`` before ``fn`` runs if not."""
     if repeats < 1 or warmup < 0:
         raise ValueError("need repeats >= 1 and warmup >= 0")
-    previous = blas_threads()
-    try:
-        set_blas_threads(1)
-        for _ in range(warmup):
-            fn()
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - t0) * 1e3)
-    finally:
-        set_blas_threads(previous)
+    threads = blas_threads()
+    if threads != 1:
+        raise RuntimeError(f"BLAS pool reports {threads} threads; timing "
+                           "needs 1")
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
     return LatencyStats(mean_ms=float(np.mean(times)), repeats=repeats)
 
 

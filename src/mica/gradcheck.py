@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, leaf_grads
 
 
 @dataclass
@@ -31,7 +31,9 @@ def gradcheck(fn: Callable[[], Tensor], inputs: Sequence[Tensor] | dict,
 
     ``fn`` must be a pure function of the current values of ``inputs``;
     it is re-evaluated under perturbation, so it gets called 2 * n_elements
-    times.  Determinism is enforced by evaluating twice up front.
+    times.  Determinism is enforced by evaluating twice up front.  The
+    tape gradients are ``leaf_grads(fn())``; no tensor's ``.grad`` is read
+    or written, and an input the walk does not reach gets zeros.
     """
     if isinstance(inputs, dict):
         named = dict(inputs)
@@ -46,12 +48,8 @@ def gradcheck(fn: Callable[[], Tensor], inputs: Sequence[Tensor] | dict,
     if base.item() != again.item():
         raise RuntimeError("fn() is not deterministic; gradcheck is meaningless")
 
-    for t in named.values():
-        t.zero_grad()
-    out = fn()
-    out.backward()
-    analytic = {name: (t.grad.copy() if t.grad is not None
-                       else np.zeros_like(t.data))
+    reached = {id(leaf): g for leaf, g in leaf_grads(fn())}
+    analytic = {name: reached.get(id(t), np.zeros_like(t.data))
                 for name, t in named.items()}
 
     per_input: dict[str, float] = {}

@@ -2,16 +2,19 @@
 
 Every op records a backward closure on a tape.  ``leaf_grads(root)``
 walks the tape from a scalar in reverse topological order and returns
-each reached leaf's gradient; ``backward()`` is that walk plus the add
-into each leaf's ``.grad``.  A backward closure returns, per parent, None,
-a view of its incoming gradient, or an array it built, and the walk alone
-adds them up under one rule: a leaf's gradients are summed into a
-writable copy of its first one; an interior node keeps its first
-gradient as is, rebinds ``.grad`` to a new sum for each later one, and
-drops it once its closure has run.  No array a closure returned is ever
-written, the walk writes no leaf, and after it no interior node holds
-``.grad``.  So threads may walk graphs that share only their leaves at
-once, as a training step's window groups do.  The op vocabulary is deliberately small: matmul (with an optional bias, so
+each reached leaf's gradient; ``backward()`` is that walk plus
+``add_leaf_grads``.  A backward closure returns, per parent, None, a view
+of its incoming gradient, or an array it built, and the walk alone adds
+them up: a leaf's are summed into a writable copy of its first one.
+Interior gradients live in the walk: the first as is, a new sum for each
+later one, dropped once the node's closure has run.  No array a closure
+returned is ever written, and the walk writes no tensor, even when a
+closure raises, so threads may walk graphs that share only their leaves
+at once, as a training step's window groups do.  Outside construction,
+``.grad`` is assigned only by ``Tensor.zero_grad`` and ``add_leaf_grads``
+and read only by ``add_leaf_grads`` and ``training.Adam.step``.
+
+The op vocabulary is deliberately small: matmul (with an optional bias, so
 x @ W + b is one op), elementwise arithmetic with broadcasting, softmax
 over the last axis, the positive feature map phi(x) = ELU(x) + 1,
 sigmoid, gelu, layer_norm of a residual sum over the last axis (a
@@ -201,14 +204,9 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from a scalar: add each of ``leaf_grads(self)``
-        into its leaf's ``.grad``, which keeps accumulating until
-        ``zero_grad``."""
-        for leaf, g in leaf_grads(self):
-            if leaf.grad is None:
-                leaf.grad = g
-            else:
-                leaf.grad += g
+        """Backpropagate from a scalar: add ``leaf_grads(self)`` into the
+        leaves' ``.grad``, which keeps accumulating until ``zero_grad``."""
+        add_leaf_grads(leaf_grads(self))
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -244,14 +242,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def add_leaf_grads(pairs: Iterable[tuple[Tensor, np.ndarray]]) -> None:
+    """Add each (leaf, gradient) pair into the leaf's ``.grad``: a leaf
+    with none keeps the gradient itself, a later one is added in place."""
+    for leaf, g in pairs:
+        if leaf.grad is None:
+            leaf.grad = g
+        else:
+            leaf.grad += g
+
+
 def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
     """(leaf, gradient) pairs for each leaf the scalar ``root`` reaches,
     in the order the walk first reaches them; each gradient is a new
     writable array.  Gradients are added by the rule in the module
     docstring, each in parent order, and every interior node has all of
-    its own before its closure runs.  Interior grads are reset first, so
-    each walk propagates only its own seed, also after a closure raised
-    part-way through an earlier one."""
+    its own before its closure runs.  The walk writes no tensor: each call
+    propagates only its own seed, also after one that raised."""
     if root.data.size != 1:
         raise ShapeError(
             f"backward() requires a scalar, got shape {root.shape}")
@@ -268,27 +275,25 @@ def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
         seen.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents)
-    for node in topo:
-        if node._backward is not None:
-            node.grad = None
+    interior: dict[int, np.ndarray] = {}
     leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
 
     def add(node: Tensor, g: np.ndarray) -> None:
         # no array a closure returned is ever written
+        key = id(node)
         if node._backward is not None:
-            node.grad = g if node.grad is None else node.grad + g
-        elif id(node) in leaves:
-            total = leaves[id(node)][1]
+            interior[key] = g if key not in interior else interior[key] + g
+        elif key in leaves:
+            total = leaves[key][1]
             total += g
         else:
-            leaves[id(node)] = (node, np.array(g))
+            leaves[key] = (node, np.array(g))
 
     add(root, np.ones_like(root.data))
     for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+        if id(node) not in interior:
             continue
-        grads = node._backward(node.grad)
-        node.grad = None
+        grads = node._backward(interior.pop(id(node)))
         if len(grads) != len(node._parents):
             raise ShapeError(f"a backward returned {len(grads)} gradients "
                              f"for {len(node._parents)} inputs")

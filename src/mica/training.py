@@ -10,10 +10,10 @@ found ends the run with ``TrainingDivergedError``, which names the op.
 Training steps and ``predict`` split their windows into cache-sized groups
 and run them on one module-level pool with a worker per usable CPU.  A
 step's groups each take a forward, their share of the loss and their leaf
-gradients (``tensor.leaf_grads``) at once; the step sums them in group
-order, so its bits do not depend on scheduling.  Importing the module
-gives numpy's bundled OpenBLAS one thread per call, since the pool
-already uses every core.
+gradients (``tensor.leaf_grads``) at once; the step adds them into the
+parameters' ``.grad`` in group order, so its bits do not depend on
+scheduling.  Importing the module gives numpy's bundled OpenBLAS one
+thread per call, since the pool already uses every core.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ import numpy as np
 from .backbone import ForecastModel
 from .bench import one_blas_thread, usable_cpus
 from .data import ConfigError, PanelDataset
-from .tensor import (NonFiniteError, ShapeError, Tensor, leaf_grads, no_grad,
-                     tabs)
+from .tensor import (NonFiniteError, ShapeError, Tensor, add_leaf_grads,
+                     leaf_grads, no_grad, tabs)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -269,13 +269,15 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
 
     A step runs its ``windows_batch`` windows in ``windows_per_forward``
     groups on the pool, each with dropout masks from a generator of its
-    own, spawned from the step's rng in group order.  Adam steps once on
-    the group gradients summed in group order.  A non-finite value ends
-    the run with the error of the earliest group that has one."""
+    own, spawned from the step's rng in group order.  The step clears the
+    parameters' ``.grad`` with ``Module.zero_grad``, adds each group's
+    ``leaf_grads`` pairs into it with ``add_leaf_grads`` in group order,
+    the add ``Tensor.backward`` makes, and Adam steps once on the sums.
+    A non-finite value ends the run with the error of the earliest group
+    that has one."""
     panel.require_split()
     rng = np.random.default_rng(seed)
-    params = model.parameters()
-    opt = Adam(params)
+    opt = Adam(model.parameters())
     input_size = model.config.input_size
     horizon = model.config.horizon
     batch = cfg.windows_batch
@@ -294,7 +296,8 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
             # spawning leaves rng's state, so its window draws, unchanged
             rngs = [np.random.default_rng(s) for s in
                     rng.bit_generator.seed_seq.spawn(len(parts))]
-            loss_val, grads = 0.0, {}
+            loss_val = 0.0
+            model.zero_grad()
             # results come back in group order, so the first error raised
             # is the earliest failing group's
             for loss_g, pairs in _POOL.map(
@@ -302,13 +305,7 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
                         model, ctx[part], tgt[part], g_rng, batch),
                     parts, rngs):
                 loss_val += loss_g
-                for leaf, g in pairs:
-                    if id(leaf) in grads:
-                        grads[id(leaf)] += g
-                    else:
-                        grads[id(leaf)] = g
-            for p in params:
-                p.grad = grads.get(id(p))
+                add_leaf_grads(pairs)
             opt.step(lr_at(step, cfg))
             steps_run = step + 1
             train_trace.append((steps_run, loss_val))

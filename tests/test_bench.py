@@ -14,7 +14,7 @@ from mica.backbone import ForecastModel, ModelConfig
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
                         check_fit_sizes, count_flops, count_params,
                         fit_scaling, measure_latency, one_blas_thread,
-                        set_blas_threads, sweep_channels, sweep_lengths)
+                        sweep_channels, sweep_lengths)
 from mica.tensor import no_grad
 
 
@@ -193,7 +193,7 @@ class FakeBlas:
 
 
 def test_guard_refuses_two_threads(monkeypatch):
-    # a pool that stays at 2 threads when asked for 1 times nothing
+    # a pool at 2 threads times nothing
     fake = FakeBlas(2)
     stuck = (fake.controls()[0], lambda n: None)
     monkeypatch.setattr(bench, "_openblas", lambda: stuck)
@@ -209,26 +209,20 @@ def test_guard_refuses_without_openblas(monkeypatch):
         measure_latency(lambda: None, repeats=1, warmup=0)
 
 
-def test_set_blas_threads_verifies_readback(monkeypatch):
-    fake = FakeBlas(2)
-    stuck = (fake.controls()[0], lambda n: None)
-    monkeypatch.setattr(bench, "_openblas", lambda: stuck)
-    with pytest.raises(RuntimeError, match="reports 2 threads"):
-        set_blas_threads(1)
-    with pytest.raises(ValueError):
-        set_blas_threads(0)
-
-
-def test_measure_latency_pins_then_restores_pool(monkeypatch):
+def test_measure_latency_refuses_a_wider_pool_and_leaves_it(monkeypatch):
+    # the pool is checked, never resized: at 2 threads nothing runs and
+    # the pool stays at 2
     fake = FakeBlas(2)
     monkeypatch.setattr(bench, "_openblas", fake.controls)
-    seen = []
-    measure_latency(lambda: seen.append(fake.threads), repeats=3, warmup=1)
-    assert seen == [1, 1, 1, 1]
-    assert fake.threads == 2
+    calls = []
+    with pytest.raises(RuntimeError, match="reports 2 threads"):
+        measure_latency(lambda: calls.append(1), repeats=3, warmup=1)
+    assert calls == [] and fake.threads == 2
+    # at 1 thread, an error raised in fn propagates
+    fake.threads = 1
     with pytest.raises(ZeroDivisionError):
         measure_latency(lambda: 1 / 0, repeats=1, warmup=0)
-    assert fake.threads == 2
+    assert fake.threads == 1
 
 
 def test_one_blas_thread_pins_a_known_pool(monkeypatch):

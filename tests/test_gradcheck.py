@@ -21,6 +21,17 @@ def test_gradcheck_passes_composite_expression():
     assert report.max_rel_err < 1e-6
 
 
+def test_gradcheck_leaves_a_callers_grad_alone():
+    # the analytic side is leaf_grads(fn()); no .grad is zeroed or written
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    kept = np.full(3, 7.0)
+    x.grad = kept
+    report = gradcheck(lambda: (x * x).sum(), [x])
+    assert report.passed, report.per_input
+    assert x.grad is kept
+    np.testing.assert_array_equal(kept, np.full(3, 7.0))
+
+
 def test_gradcheck_catches_wrong_gradient():
     # sabotage: a detached reuse makes the tape gradient wrong on purpose
     x = Tensor(np.array([0.3, -0.7]), requires_grad=True)

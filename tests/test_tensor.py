@@ -180,7 +180,7 @@ def test_first_gradient_owns_its_buffer():
 
 
 def test_second_backward_propagates_only_its_own_seed():
-    # interior grads are reset per call; only leaves keep accumulating
+    # each walk propagates only its own seed; only leaves accumulate
     x = Tensor(np.ones(3), requires_grad=True)
     s = (x * 2.0).sum()
     s.backward()
@@ -223,6 +223,43 @@ def test_leaf_grads_write_no_leaf_and_equal_what_backward_adds():
     loss().backward()
     for leaf, g in pairs:
         assert leaf.grad.tobytes() == g.tobytes()
+
+
+def test_leaf_grads_writes_no_tensor_even_when_a_closure_raises():
+    # interior gradients wait in the walk, not on the nodes: neither a
+    # completed walk nor one whose closure raised changes any slot
+    x = Tensor(np.ones(3), requires_grad=True)
+    a = x * 2.0
+    b = a * 3.0
+    s = (b + a).sum()
+    nodes = (x, a, b, s._parents[0], s)
+
+    def slots():
+        return [[getattr(n, name) for name in Tensor.__slots__]
+                for n in nodes]
+
+    def same(before):
+        return all(u is v for row, was in zip(slots(), before)
+                   for u, v in zip(row, was))
+
+    before = slots()
+    [(leaf, g)] = leaf_grads(s)
+    assert leaf is x and same(before)
+    npt.assert_array_equal(g, np.full(3, 8.0))
+
+    def boom(g):
+        raise RuntimeError("closure failed")
+
+    b._backward, closure = boom, b._backward
+    before = slots()
+    with pytest.raises(RuntimeError, match="closure failed"):
+        leaf_grads(s)
+    assert same(before)
+    assert all(n.grad is None for n in nodes)
+    # the next walk starts from its own seed alone
+    b._backward = closure
+    [(_, g)] = leaf_grads(s)
+    npt.assert_array_equal(g, np.full(3, 8.0))
 
 
 def test_borrowed_gradient_is_never_written():

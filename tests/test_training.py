@@ -410,8 +410,8 @@ def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
 
 
 def test_train_frees_each_step_before_the_next_forward(monkeypatch):
-    # a group's graph holds its activations and interior grads; no graph
-    # of a step may still be alive when the next step's groups forward
+    # a group's graph holds its activations; no graph of a step may still
+    # be alive when the next step's groups forward
     model, panel = tiny_model(), tiny_panel()
     forward, forecasts, alive = model.forward, [], []
     steps = []
