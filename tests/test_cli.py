@@ -14,7 +14,8 @@ from mica.backbone import (ForecastModel, ModelConfig, config_digest,
 from mica.bench import count_flops, count_params
 from mica.cli import (main, model_config_from, parse_config,
                       train_config_from)
-from mica.data import ConfigError, gen_leadlag, write_csv
+from mica.data import (ConfigError, _load_clean_wide, gen_leadlag,
+                       write_csv)
 from mica.tensor import Tensor
 from mica.training import TrainConfig, TrainingDivergedError
 
@@ -525,6 +526,42 @@ def test_train_that_diverges_on_its_first_seed_leaves_no_output(tmp_path,
         "error: training diverged at step 1: non-finite values produced "
         "by op 'matmul'\n")
     assert not out.exists()
+
+
+def test_eval_of_a_quoted_copy_writes_the_same_bytes(workspace,
+                                                     monkeypatch):
+    # the written panel takes the np.loadtxt pass; a copy with every value
+    # cell quoted takes the cell reader
+    tmp, conf = workspace
+    out = tmp / "train_out"
+    assert main(["train", "--config", str(conf), "--out", str(out)]) == 0
+    header, *rows = (tmp / "panel.csv").read_text().splitlines()
+    quoted = tmp / "quoted.csv"
+    quoted.write_text("\n".join([header] + [
+        ",".join([t] + [f'"{v}"' for v in cells])
+        for t, *cells in (row.split(",") for row in rows)]) + "\n")
+    quoted_conf = tmp / "quoted.conf"
+    quoted_conf.write_text(conf.read_text().replace(
+        str(tmp / "panel.csv"), str(quoted)))
+    taken = []
+    def spy(path):
+        try:
+            panel = _load_clean_wide(path)
+        except ValueError:
+            taken.append("cells")
+            raise
+        taken.append("loadtxt")
+        return panel
+
+    monkeypatch.setattr("mica.data._load_clean_wide", spy)
+    for name, config in (("plain", conf), ("quoted", quoted_conf)):
+        assert main(["eval", "--config", str(config),
+                     "--params", str(out / "params_seed1.bin"),
+                     "--out", str(tmp / name)]) == 0
+    assert taken == ["loadtxt", "cells"]
+    for report in ("metrics.csv", "forecasts.csv"):
+        assert ((tmp / "plain" / report).read_bytes()
+                == (tmp / "quoted" / report).read_bytes())
 
 
 def test_eval_runs_each_split_through_the_model_once(workspace,

@@ -1,14 +1,16 @@
 import csv
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mica.data import (ConfigError, PanelDataset, _fill_or_reject,
-                       _parse_timestamp, _parse_value, chrono_split,
-                       gen_independent, gen_leadlag, load_csv, pca_apply,
-                       pca_fit, pca_invert, write_csv)
+                       _load_clean_wide, _parse_timestamp, _parse_value,
+                       chrono_split, gen_independent, gen_leadlag, load_csv,
+                       pca_apply, pca_fit, pca_invert, write_csv)
 
 
 def make_panel(c=3, t=50, seed=0):
@@ -187,18 +189,23 @@ def outcome(path, layout, forward_fill):
         return str(err)
 
 
+def assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:  # bit for bit: -0.0 is not 0.0
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def assert_same_outcome(path, layout):
     for forward_fill in (False, True):
-        got = outcome(path, layout, forward_fill)
-        want = per_cell_load(path, layout, forward_fill)
-        if isinstance(want, str) or isinstance(got, str):
-            assert got == want
-        else:  # bit for bit: -0.0 is not 0.0
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert_same(outcome(path, layout, forward_fill),
+                    per_cell_load(path, layout, forward_fill))
 
 
 CELLS = [" 1.5 ", "nan", "NaN", "NA", "", "1_000", "inf", "-0.0", "5e-324",
-         '"2.5"', "oops"]
+         '"2.5"', "oops",
+         # where np.loadtxt's reader and float could disagree
+         "+2", "1e400", "\xa02", "#2", "2\x00", "\u0663", "0x1p3"]
 
 
 @pytest.mark.parametrize("layout", ["wide", "long"])
@@ -232,6 +239,83 @@ def test_iso_timestamps_parse_as_per_cell(tmp_path, layout, last):
     path = tmp_path / "iso.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     assert_same_outcome(path, layout)
+
+
+def cell_reader_outcome(path, forward_fill, monkeypatch):
+    """``outcome`` of a wide file with the ``np.loadtxt`` pass off."""
+    def refuse(path):
+        raise ValueError("cell reader only")
+    with monkeypatch.context() as patch:
+        patch.setattr("mica.data._load_clean_wide", refuse)
+        return outcome(path, "wide", forward_fill)
+
+
+@pytest.mark.parametrize("text, clean, per_cell", [
+    ("timestamp,a\n0,1.0\n \t\n1,2.0\n", False, False),
+    ("timestamp,a\n0,1.0,\n1,2.0\n", False, False),
+    ("timestamp,a,\n0,1.0,\n1,2.0,\n", False, True),
+    ("timestamp,a\n" + "".join(f"{'0' * 199}{t},{t}.5\n" for t in range(3)),
+     True, True),
+    ("timestamp,a\n0,1.0\n" + "x" * 200 + ",2.0\n", False, True),
+    ("timestamp,a\r\n0,1.0\r\n\r\n1,-0.0\r\n", True, False),
+    ('"t,s","a,b","q""x"\n0,1.0\n1,2.0\n', False, False),
+    ('"t,s","a,b","q""x"\n0,1.0,2\n1,2.0,3\n', True, True),
+], ids=["whitespace_line", "trailing_comma", "trailing_comma_column",
+        "stamp_200_chars", "bad_stamp_200_chars", "crlf_blank_line",
+        "quoted_header_ragged", "quoted_header"])
+def test_clean_pass_matches_the_cell_reader(tmp_path, monkeypatch, text,
+                                            clean, per_cell):
+    # clean: the np.loadtxt pass takes the file; per_cell: it has no
+    # blank or ragged line, so per_cell_load is an oracle too
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    if clean:
+        _load_clean_wide(path)
+    else:
+        with pytest.raises(ValueError):
+            _load_clean_wide(path)
+    for forward_fill in (False, True):
+        assert_same(outcome(path, "wide", forward_fill),
+                    cell_reader_outcome(path, forward_fill, monkeypatch))
+    if per_cell:
+        assert_same_outcome(path, "wide")
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r\n"],
+                         ids=["header_only", "blank_lines", "crlf_blank_lines"])
+def test_a_header_without_rows_is_refused_without_a_warning(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(f"timestamp,a\n{body}".encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: no data rows")):
+            load_csv(path)
+
+
+def test_quoted_channel_ids_round_trip(tmp_path):
+    panel = make_panel(c=2)
+    panel.channel_ids = ["a,b", 'q"x']
+    path = tmp_path / "quoted.csv"
+    write_csv(panel, path)
+    back = _load_clean_wide(path)
+    assert back.channel_ids == ["a,b", 'q"x']
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert load_csv(path).values.tobytes() == panel.values.tobytes()
+
+
+def test_load_csv_peak_memory_is_a_few_times_its_values(tmp_path):
+    # a 12000x7 panel: the cell reader peaks near 16x the values' bytes
+    path = tmp_path / "wide.csv"
+    write_csv(make_panel(c=7, t=12000), path)
+    tracemalloc.start()
+    try:
+        values = load_csv(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.flags.f_contiguous
+    assert peak < 5 * values.nbytes
 
 
 def old_write_csv(panel, path):
