@@ -47,6 +47,8 @@ class MicaConfig:
             raise ValueError(f"unknown weight mode '{self.weight_mode}'")
         if self.mlp_layers < 2:
             raise ValueError("gate mlp needs at least 2 layers")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
         if not 0.0 <= self.mlp_dropout < 1.0:
             raise ValueError("mlp_dropout must be in [0, 1)")
         if self.epsilon <= 0.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -338,16 +339,21 @@ def load_params(path) -> tuple[str, dict[str, np.ndarray]]:
         raise IntegrityError(f"'{path}' is not a parameter file")
     (version,) = struct.unpack("<I", take(4))
     if version != _VERSION:
-        raise IntegrityError(f"unsupported parameter file version {version}")
+        raise IntegrityError(f"unsupported parameter file version {version} "
+                             f"in '{path}'")
     digest = take(32).hex()
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode()
+        try:
+            name = take(name_len).decode()
+        except UnicodeDecodeError:
+            raise IntegrityError(
+                f"non-UTF-8 parameter name in '{path}'") from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
+        n_items = math.prod(shape)  # a Python int: a huge shape cannot wrap
         arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
         arrays[name] = arr.astype(np.float64)
     if off != len(blob):

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -245,9 +244,6 @@ def _report_rows(report: TrainReport):
 # -- subcommands ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    if args.parallel_seeds < 1:
-        raise ConfigError(f"--parallel-seeds must be >= 1, got "
-                          f"{args.parallel_seeds}")
     out = _out_dir(args.out)
     conf = parse_config(args.config)
     panel = load_panel(conf)
@@ -255,24 +251,10 @@ def cmd_train(args) -> int:
     tcfg = train_config_from(conf)
     digest = config_digest(mcfg, panel.n_channels)
 
-    def run_seed(seed: int) -> tuple[ForecastModel, TrainReport]:
+    runs = []
+    for seed in tcfg.seeds:
         model = ForecastModel(mcfg, panel.n_channels, seed=seed)
-        return model, train(model, panel, tcfg, seed)
-
-    if args.parallel_seeds > 1:
-        # the seeds' window groups share training's pool of one worker per
-        # CPU, so seeds at once add no BLAS or compute threads
-        pool = ThreadPoolExecutor(max_workers=args.parallel_seeds)
-        futures = [pool.submit(run_seed, seed) for seed in tcfg.seeds]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # a failure, or an interrupt, starts no seed still queued
-            pool.shutdown(cancel_futures=True)
-        # seeds start in order, so this raises the error a serial run would
-        runs = [future.result() for future in futures]
-    else:
-        runs = [run_seed(seed) for seed in tcfg.seeds]
+        runs.append((model, train(model, panel, tcfg, seed)))
 
     # written only once every seed has trained: a failed run leaves no --out
     out.mkdir(parents=True, exist_ok=True)
@@ -424,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True,
                          help="output directory for params and reports")
-    p_train.add_argument("--parallel-seeds", type=int, default=1)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate saved parameters")

@@ -68,8 +68,8 @@ class NonFiniteError(FloatingPointError):
 
 
 class _ThreadState(threading.local):
-    """Per-thread mode flags; a shared global would race under the
-    thread pools of parallel seeds and of ``training.predict``, whose
+    """Per-thread mode flags; a shared global would race between
+    callers on different threads and under ``training``'s pool, whose
     workers enter ``no_grad`` themselves because the caller's does not
     reach them."""
 

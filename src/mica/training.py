@@ -197,10 +197,10 @@ CACHE_BUDGET = 1 << 20
 
 
 # one worker per CPU this process may use, shared by every ``predict`` call
-# and training step (so by ``--parallel-seeds`` too); numpy and BLAS
-# kernels release the GIL, so the workers' groups run at once.  BLAS gets
-# one thread: with two per call as well, a pooled quick-start step took
-# 282-333 ms on 2 cores, against 140-168 ms
+# and training step, on any thread; numpy and BLAS kernels release the
+# GIL, so the workers' groups run at once.  BLAS gets one thread: with two
+# per call as well, a pooled quick-start step took 282-333 ms on 2 cores,
+# against 140-168 ms
 POOL_WORKERS = usable_cpus()
 _POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS)
 BLAS_ONE_THREAD = one_blas_thread()

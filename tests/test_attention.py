@@ -359,6 +359,8 @@ def test_local_only_block_matches_mica_local_path():
     (dict(gate="nope"), "unknown gate kind 'nope'"),
     (dict(weight_mode="nope"), "unknown weight mode 'nope'"),
     (dict(mlp_layers=1), "gate mlp needs at least 2 layers"),
+    (dict(gate="mlp", mlp_hidden=0), "mlp_hidden must be >= 1, got 0"),
+    (dict(mlp_hidden=-3), "mlp_hidden must be >= 1, got -3"),
     (dict(mlp_dropout=1.0), "mlp_dropout must be in [0, 1)"),
     (dict(mlp_dropout=-0.1), "mlp_dropout must be in [0, 1)"),
     (dict(epsilon=0.0), "epsilon must be positive"),

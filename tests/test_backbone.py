@@ -7,10 +7,10 @@ import pytest
 
 from mica import tensor
 from mica.attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
-from mica.backbone import (ForecastModel, IntegrityError, ModelConfig,
-                           config_digest, destandardize, load_params,
-                           patch_count, patch_indices, patchify, save_params,
-                           sincos_table, standardize)
+from mica.backbone import (_MAGIC, ForecastModel, IntegrityError,
+                           ModelConfig, config_digest, destandardize,
+                           load_params, patch_count, patch_indices, patchify,
+                           save_params, sincos_table, standardize)
 from mica.tensor import (NonFiniteError, ShapeError, Tensor, gather_last,
                          no_grad)
 
@@ -383,21 +383,37 @@ def test_parameter_names_and_shapes_are_pinned():
         for t in ("weight", "bias")] + ["layers.0.attn.channel_weights"]
 
 
+def _fill_first_array(blob, field):
+    """``blob`` with every byte of its first array's ``field`` ("name" or
+    "dims") set to 0xff."""
+    at = len(_MAGIC) + 4 + 32 + 4  # magic, version, digest, array count
+    (size,) = struct.unpack_from("<H", blob, at)
+    at += 2
+    if field == "dims":
+        at, size = at + size + 1, 4 * blob[at + size]  # past name and ndim
+    return blob[:at] + b"\xff" * size + blob[at + size:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: b"definitely not params", "is not a parameter file"),
     (lambda blob: blob[:len(blob) // 2], "truncated parameter file"),
     (lambda blob: blob[:8] + struct.pack("<I", 2) + blob[12:],
      "unsupported parameter file version 2"),
     (lambda blob: blob + b"\0", "trailing bytes in parameter file"),
-], ids=["garbage", "truncated", "version", "trailing"])
+    (lambda blob: _fill_first_array(blob, "name"),
+     "non-UTF-8 parameter name"),
+    # every dim 0xffffffff: far more items than the file holds
+    (lambda blob: _fill_first_array(blob, "dims"), "truncated parameter file"),
+], ids=["garbage", "truncated", "version", "trailing", "name", "dims"])
 def test_load_params_rejects_garbage(tmp_path, corrupt, message):
     cfg = small_cfg()
     model = ForecastModel(cfg, n_channels=2, seed=0)
     path = tmp_path / "params.bin"
     save_params(path, model, config_digest(cfg, 2))
     path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(IntegrityError, match=re.escape(message)):
+    with pytest.raises(IntegrityError, match=re.escape(message)) as err:
         load_params(path)
+    assert f"'{path}'" in str(err.value)
 
 
 def test_config_digest_sensitivity():

@@ -1,13 +1,12 @@
 import csv
-import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mica import bench, cli
+from mica import bench, cli, training
 from mica.attention import MicaConfig
 from mica.backbone import (ForecastModel, ModelConfig, config_digest,
                            save_params)
@@ -139,24 +138,13 @@ def test_mica_only_keys_need_mica(workspace, capsys):
     assert model_config_from(parse_config(on)).mica.gate == "mlp"
 
 
-@pytest.mark.parametrize("workers", ["0", "-5"])
-def test_parallel_seeds_must_be_positive(workspace, capsys, workers):
-    tmp, conf = workspace
-    out = tmp / "par_out"
-    assert main(["train", "--config", str(conf), "--out", str(out),
-                 "--parallel-seeds", workers]) == 2
-    assert "--parallel-seeds must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_train_rejects_repeated_seeds(workspace, capsys):
     tmp, conf = workspace
     dup = tmp / "dup.conf"
     dup.write_text(conf.read_text().replace("train.seeds = 1,2",
                                             "train.seeds = 1,1"))
     out = tmp / "dup_out"
-    assert main(["train", "--config", str(dup), "--out", str(out),
-                 "--parallel-seeds", "2"]) == 2
+    assert main(["train", "--config", str(dup), "--out", str(out)]) == 2
     assert "repeated: [1]" in capsys.readouterr().err
     assert not out.exists()
 
@@ -219,7 +207,10 @@ def test_exit_code_missing_dataset(tmp_path, capsys):
      "c.conf:2: bad value for 'model.mica': not a boolean: 'maybe'"),
     ("bench", "model.horizon = 4\nbench.sweep = T\n",
      "bench.sweep must be C or L, got 'T'"),
-], ids=["no_file", "no_equals", "no_horizon", "no_data", "bool", "sweep"])
+    ("flops", "model.horizon = 4\nmodel.mica = true\nmodel.gate = mlp\n"
+     "model.mlp_hidden = 0\n", "mlp_hidden must be >= 1, got 0"),
+], ids=["no_file", "no_equals", "no_horizon", "no_data", "bool", "sweep",
+        "mlp_hidden"])
 def test_config_rejections_exit_2_and_say_why(tmp_path, capsys, cmd, text,
                                               message):
     conf = tmp_path / "c.conf"
@@ -357,20 +348,19 @@ def test_train_outputs_byte_identical_across_runs(workspace):
                 read_text(out_b / f"report_seed{seed}.csv"))
 
 
-def test_parallel_seeds_match_sequential(workspace):
-    tmp, conf = workspace
-    seq, par = tmp / "seq", tmp / "par"
-    assert main(["train", "--config", str(conf), "--out", str(seq)]) == 0
-    assert main(["train", "--config", str(conf), "--out", str(par),
-                 "--parallel-seeds", "2"]) == 0
-    assert read_text(seq / "summary.csv") == read_text(par / "summary.csv")
+def shared_pool(monkeypatch, workers):
+    """Give training's shared pool ``workers`` threads for one test."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    monkeypatch.setattr(training, "POOL_WORKERS", workers)
+    monkeypatch.setattr(training, "_POOL", pool)
+    return pool
 
 
-@pytest.mark.parametrize("workers, during", [("1", [4, 4]), ("2", [4, 4])])
+@pytest.mark.parametrize("workers, during", [(1, [4, 4]), (2, [4, 4])])
 def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
                                             during):
-    # seeds trained at once run their window groups on the one shared
-    # pool, under the BLAS size set at import: train leaves it alone
+    # each seed runs its window groups on the one shared pool, one worker
+    # or several, under the BLAS size set at import: train leaves it alone
     tmp, conf = workspace
     blas = {"threads": 4}
     monkeypatch.setattr(bench, "_openblas", lambda: (
@@ -382,40 +372,37 @@ def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
         return real_train(*args)
 
     monkeypatch.setattr(cli, "train", train)
-    assert main(["train", "--config", str(conf), "--out", str(tmp / "out"),
-                 "--parallel-seeds", workers]) == 0
+    with shared_pool(monkeypatch, workers):
+        assert main(["train", "--config", str(conf),
+                     "--out", str(tmp / "out")]) == 0
     assert seen == during
     assert blas["threads"] == 4
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("failing", [1, 2])
 def test_a_failed_seed_leaves_no_output(workspace, capsys, monkeypatch,
                                         workers, failing):
+    # the other seed's window groups run on a shared pool of one worker
+    # or two; either way the failure ends the run and nothing is written
     tmp, conf = workspace
-    other_trained = threading.Event()
     real_train = cli.train
 
     def train(model, panel, cfg, seed):
-        if seed != failing:
-            report = real_train(model, panel, cfg, seed)
-            other_trained.set()
-            return report
-        # on two workers the failing seed outlasts the other one
-        if workers == "2":
-            assert other_trained.wait(timeout=60)
-        raise TrainingDivergedError(3, f"seed {seed} went NaN")
+        if seed == failing:
+            raise TrainingDivergedError(3, f"seed {seed} went NaN")
+        return real_train(model, panel, cfg, seed)
 
     monkeypatch.setattr(cli, "train", train)
     out = tmp / "out"
-    assert main(["train", "--config", str(conf), "--out", str(out),
-                 "--parallel-seeds", workers]) == 1
+    with shared_pool(monkeypatch, workers):
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: training diverged at step 3: seed {failing} went NaN\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("failing", [1, 2])
+@pytest.mark.parametrize("failing", [1, 2, 5])
 def test_a_failed_seed_starts_no_seed_still_queued(workspace, capsys,
                                                    monkeypatch, failing):
     tmp, conf = workspace
@@ -424,20 +411,15 @@ def test_a_failed_seed_starts_no_seed_still_queued(workspace, capsys,
     started = []
 
     def train(model, panel, cfg, seed):
-        # seed 1 outlasts the others, so a failed seed 2 ends before it
         started.append(seed)
         if seed == failing:
             raise TrainingDivergedError(0, f"seed {seed} went NaN")
-        time.sleep(1.0 if seed == 1 else 0.2)
 
     monkeypatch.setattr(cli, "train", train)
     out = tmp / "out"
-    assert main(["train", "--config", str(conf), "--out", str(out),
-                 "--parallel-seeds", "2"]) == 1
+    assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
     assert f"seed {failing} went NaN" in capsys.readouterr().err
-    # the failed seed's worker may take seed 3 before the failure is seen;
-    # no later seed may start
-    assert sorted(started)[:2] == [1, 2] and max(started) <= 3
+    assert started == list(range(1, failing + 1))
     assert not out.exists()
 
 

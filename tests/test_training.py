@@ -267,9 +267,10 @@ def test_dropout_masks_do_not_depend_on_the_pool(monkeypatch):
 
 
 def test_concurrent_train_calls_each_get_the_serial_run(monkeypatch):
-    # as --parallel-seeds does: more trainers than cores put their groups
-    # on the shared pool at once, with thread switches forced often; a walk
-    # that wrote a shared parameter would change some run's bits
+    # train is a library call any thread may make: more trainers than cores
+    # put their groups on the shared pool at once, with thread switches
+    # forced often; a walk that wrote a shared parameter would change some
+    # run's bits
     monkeypatch.setattr(training, "POOL_WORKERS", 4)
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=4, val_check_every=2,
@@ -552,8 +553,8 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch):
 
 
 def test_concurrent_predict_calls_each_get_the_serial_forecast():
-    # as --parallel-seeds validation passes do, on the shared pool: more
-    # callers than cores, with thread switches forced often
+    # predict is a library call any thread may make: more callers than
+    # cores share the pool, with thread switches forced often
     models = [quickstart_model({}), quickstart_model({"gate": "mlp_query"}),
               quickstart_model(None)]
     ctx = np.random.default_rng(7).normal(size=(40, 7, 96))
