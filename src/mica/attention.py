@@ -51,8 +51,9 @@ class MicaConfig:
             raise ValueError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
         if not 0.0 <= self.mlp_dropout < 1.0:
             raise ValueError("mlp_dropout must be in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:  # NaN too
+            raise ValueError(f"epsilon must be positive and finite, got "
+                             f"{self.epsilon}")
 
     @property
     def channelwise(self) -> bool:

@@ -355,6 +355,9 @@ def load_params(path) -> tuple[str, dict[str, np.ndarray]]:
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         n_items = math.prod(shape)  # a Python int: a huge shape cannot wrap
         arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
+        if name in arrays:
+            raise IntegrityError(f"parameter {name!r} stored twice in "
+                                 f"'{path}'")
         arrays[name] = arr.astype(np.float64)
     if off != len(blob):
         raise IntegrityError(f"trailing bytes in parameter file '{path}'")

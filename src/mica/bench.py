@@ -287,9 +287,9 @@ def check_fit_sizes(sizes) -> None:
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.size < 4:
         raise ValueError("need at least 4 sweep points for a scaling fit")
-    if np.any(np.diff(sizes) <= 0):
+    if not np.all(np.diff(sizes) > 0):  # NaN too
         raise ValueError("sweep sizes must be strictly increasing")
-    if np.any(sizes <= 0):
+    if not np.all(sizes > 0):
         raise ValueError("sweep sizes must be positive")
 
 
@@ -297,8 +297,8 @@ def fit_scaling(sizes, costs) -> ScalingFit:
     check_fit_sizes(sizes)
     sizes = np.asarray(sizes, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
-    if np.any(costs <= 0):
-        raise ValueError("costs must be positive")
+    if not np.all((costs > 0) & (costs < np.inf)):  # NaN too
+        raise ValueError("costs must be positive and finite")
     lx, ly = np.log(sizes), np.log(costs)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept

@@ -371,8 +371,9 @@ def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
         raise ConfigError("lead-lag panel needs at least 2 channels")
     if lag < 1 or n_steps < 1:
         raise ConfigError("lag and n_steps must be positive")
-    if not noise_sigma >= 0:  # NaN too
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:  # NaN too
+        raise ConfigError(f"noise_sigma must be >= 0 and finite, got "
+                          f"{noise_sigma}")
     rng = np.random.default_rng(seed)
     burn = 100
     total = n_steps + (n_channels - 1) * lag + burn

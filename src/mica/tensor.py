@@ -49,9 +49,9 @@ effect.  Allocation changes no arithmetic.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import platform
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -67,18 +67,10 @@ class NonFiniteError(FloatingPointError):
     same op."""
 
 
-class _ThreadState(threading.local):
-    """Per-thread mode flags; a shared global would race between
-    callers on different threads and under ``training``'s pool, whose
-    workers enter ``no_grad`` themselves because the caller's does not
-    reach them."""
-
-    def __init__(self):
-        self.grad_enabled = True
-        self.deferred = False      # inside a ``checked_once`` pass
-
-
-_STATE = _ThreadState()
+# the tape's mode flags, per context (PEP 567): each thread has its own,
+# and ``training``'s pool runs a group in a copy of its caller's
+grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+deferred = contextvars.ContextVar("deferred", default=False)  # checked_once
 
 
 def _keep_freed_heap_pages() -> bool:
@@ -102,13 +94,13 @@ HEAP_PAGES_KEPT = _keep_freed_heap_pages()
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (current thread only)."""
-    prev = _STATE.grad_enabled
-    _STATE.grad_enabled = False
+    """Disable tape recording inside the block: in the current context,
+    and in the pooled groups ``training`` starts from it."""
+    token = grad_enabled.set(False)
     try:
         yield
     finally:
-        _STATE.grad_enabled = prev
+        grad_enabled.reset(token)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -117,7 +109,7 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not _STATE.deferred and not _all_finite(arr):
+    if not deferred.get() and not _all_finite(arr):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -127,7 +119,7 @@ def check_inputs(*tensors: Tensor | None) -> None:
     ``checked_once`` pass, a non-finite input ends the pass, because the
     final check could miss it.  Each call tests every input it is given,
     and nothing is kept between calls.  ``None`` entries are skipped."""
-    if _STATE.deferred:
+    if deferred.get():
         for t in tensors:
             if t is not None and not _all_finite(t.data):
                 raise NonFiniteError("non-finite input to an absorbing op")
@@ -144,8 +136,8 @@ def checked_once(run: Callable[[], Tensor]) -> Tensor:
     a second call must start from the state the first one did.  Inside a
     pass already deferred, it is ``run()``.
     """
-    if not _STATE.deferred:
-        _STATE.deferred = True
+    if not deferred.get():
+        token = deferred.set(True)
         try:
             out = run()
             if _all_finite(out.data):
@@ -153,7 +145,7 @@ def checked_once(run: Callable[[], Tensor]) -> Tensor:
         except NonFiniteError:
             pass
         finally:
-            _STATE.deferred = False
+            deferred.reset(token)
     return run()
 
 
@@ -305,7 +297,7 @@ def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
 
 def records(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` is recorded on the tape."""
-    return _STATE.grad_enabled and any(p.requires_grad for p in parents)
+    return grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],

@@ -8,15 +8,17 @@ computed.  Every forward and loss op is checked for NaN/Inf; the first one
 found ends the run with ``TrainingDivergedError``, which names the op.
 
 Training steps and ``predict`` split their windows into cache-sized groups
-and run them on one module-level pool with a worker per usable CPU.  A
-step's groups each take a forward, their share of the loss and their leaf
-gradients (``tensor.leaf_grads``) at once; the step adds them into the
-parameters' ``.grad`` in group order, so its bits do not depend on
-scheduling.  Importing the module gives numpy's bundled OpenBLAS one
+and run them on one pool with a worker per usable CPU, each group in a
+copy of its caller's context (``_pooled``).  A step's groups each take a
+forward, their share of the loss and their leaf gradients
+(``tensor.leaf_grads``) at once; the step adds them into the parameters'
+``.grad`` in group order, so its bits depend on neither scheduling nor the
+CPU count.  Importing the module gives numpy's bundled OpenBLAS one
 thread per call, since the pool already uses every core.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from .backbone import ForecastModel
 from .bench import one_blas_thread, usable_cpus
 from .data import ConfigError, PanelDataset
 from .tensor import (NonFiniteError, ShapeError, Tensor, add_leaf_grads,
-                     leaf_grads, no_grad, tabs)
+                     grad_enabled, leaf_grads, no_grad, tabs)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -54,8 +56,12 @@ class TrainConfig:
         if min(self.windows_batch, self.max_steps, self.val_check_every,
                self.lr_step, self.early_stop_patience) < 1:
             raise ConfigError("training sizes must be positive")
-        if self.lr0 <= 0 or not 0 < self.lr_decay <= 1:
-            raise ConfigError("need lr0 > 0 and 0 < lr_decay <= 1")
+        if not 0 < self.lr0 < np.inf:  # NaN too
+            raise ConfigError(f"lr0 must be positive and finite, got "
+                              f"{self.lr0}")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(f"lr_decay must be in (0, 1], got "
+                              f"{self.lr_decay}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         negative = sorted({s for s in self.seeds if s < 0})
@@ -201,16 +207,30 @@ CACHE_BUDGET = 1 << 20
 # GIL, so the workers' groups run at once.  BLAS gets one thread: with two
 # per call as well, a pooled quick-start step took 282-333 ms on 2 cores,
 # against 140-168 ms
-POOL_WORKERS = usable_cpus()
-_POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS)
+_POOL = ThreadPoolExecutor(max_workers=usable_cpus())
 BLAS_ONE_THREAD = one_blas_thread()
+
+# a batch of two or more windows runs as at least this many groups, so a
+# batch that fits one cache group still uses two workers; a fixed count,
+# not the pool's size, since group sizes set the order gradients are
+# summed in, and so the training bits
+MIN_GROUPS = 2
+
+
+def _pooled(fn, *iterables):
+    """``fn`` over the zipped ``iterables`` on the shared pool, each call in
+    a copy of the caller's context of its own (two threads cannot enter
+    one); results, and so the first error, come in call order."""
+    calls = [(contextvars.copy_context(), args) for args in zip(*iterables)]
+    return _POOL.map(lambda call: call[0].run(fn, *call[1]), calls)
 
 
 def windows_per_forward(model: ForecastModel, batch: int) -> int:
     """How many windows ``predict`` and a training step run per forward:
-    at most ``ceil(batch / POOL_WORKERS)``, so a batch spreads over every
-    worker, and as many as keep the widest per-token activation (d_model,
-    ff_hidden or a gate MLP layer) of the forward in ``CACHE_BUDGET``."""
+    at most ``ceil(batch / MIN_GROUPS)``, so a batch spreads over two
+    workers on any host, and as many as keep the widest per-token
+    activation (d_model, ff_hidden or a gate MLP layer) of the forward in
+    ``CACHE_BUDGET``."""
     if batch < 1:
         raise ConfigError(f"batch must be positive, got {batch}")
     cfg = model.config
@@ -218,7 +238,7 @@ def windows_per_forward(model: ForecastModel, batch: int) -> int:
                    for w in pair]
     widest = max([cfg.d_model, cfg.ff_hidden] + gate_widths)
     window_bytes = 8 * model.n_channels * model.n_patches * widest
-    return min(math.ceil(batch / POOL_WORKERS),
+    return min(math.ceil(batch / MIN_GROUPS),
                max(1, CACHE_BUDGET // window_bytes))
 
 
@@ -228,21 +248,17 @@ def predict(model: ForecastModel, ctx: np.ndarray,
 
     ``batch`` is an upper bound on the windows per forward: forwards take
     ``windows_per_forward(model, batch)`` windows each, so their
-    activations stay in cache.  The groups run concurrently on a shared
-    pool of one thread per usable CPU, and a non-finite group raises what
-    the serial loop would: the earliest such group's error.  Every op
+    activations stay in cache.  The groups run concurrently on the shared
+    pool, inside this call's ``no_grad``, and a non-finite group raises
+    what the serial loop would: the earliest such group's error.  Every op
     works window by window, so the forecasts are the bits of one forward
     over all of ``ctx``.
     """
     group = windows_per_forward(model, batch)
-
-    def forecast(start: int) -> np.ndarray:
-        # no_grad is per thread: the caller's does not reach a pool worker
-        with no_grad():
-            return model.forward(ctx[start:start + group]).data
-
-    return np.concatenate(
-        list(_POOL.map(forecast, range(0, len(ctx), group))), axis=0)
+    with no_grad():
+        return np.concatenate(list(_pooled(
+            lambda start: model.forward(ctx[start:start + group]).data,
+            range(0, len(ctx), group))), axis=0)
 
 
 def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
@@ -274,7 +290,10 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
     ``leaf_grads`` pairs into it with ``add_leaf_grads`` in group order,
     the add ``Tensor.backward`` makes, and Adam steps once on the sums.
     A non-finite value ends the run with the error of the earliest group
-    that has one."""
+    that has one; a call inside ``no_grad``, which no group could learn
+    from, is refused."""
+    if not grad_enabled.get():
+        raise RuntimeError("train cannot run inside no_grad")
     panel.require_split()
     rng = np.random.default_rng(seed)
     opt = Adam(model.parameters())
@@ -298,9 +317,7 @@ def train(model: ForecastModel, panel: PanelDataset, cfg: TrainConfig,
                     rng.bit_generator.seed_seq.spawn(len(parts))]
             loss_val = 0.0
             model.zero_grad()
-            # results come back in group order, so the first error raised
-            # is the earliest failing group's
-            for loss_g, pairs in _POOL.map(
+            for loss_g, pairs in _pooled(
                     lambda part, g_rng: _group_step(
                         model, ctx[part], tgt[part], g_rng, batch),
                     parts, rngs):

@@ -1,6 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from mica import backbone, tensor
+from mica import backbone, tensor, training
 
 # criteria 6 (the channel-scaling wall clock) and 8 (the lead-lag training
 # runs) take minutes; ``-m "not slow"`` leaves them out
@@ -33,3 +35,15 @@ def unchecked(monkeypatch):
             m.setattr(tensor, "_check_finite", lambda arr, op: None)
             return fn()
     return run
+
+
+@pytest.fixture
+def shared_pool(monkeypatch):
+    """``shared_pool(workers)`` gives training's shared pool ``workers``
+    threads for one test, and returns the pool, which ``with`` shuts
+    down."""
+    def swap(workers):
+        pool = ThreadPoolExecutor(max_workers=workers)
+        monkeypatch.setattr(training, "_POOL", pool)
+        return pool
+    return swap

@@ -364,6 +364,10 @@ def test_local_only_block_matches_mica_local_path():
     (dict(mlp_dropout=1.0), "mlp_dropout must be in [0, 1)"),
     (dict(mlp_dropout=-0.1), "mlp_dropout must be in [0, 1)"),
     (dict(epsilon=0.0), "epsilon must be positive"),
+    (dict(epsilon=float("nan")),
+     "epsilon must be positive and finite, got nan"),
+    (dict(epsilon=float("inf")),
+     "epsilon must be positive and finite, got inf"),
 ], ids=repr)
 def test_config_validation(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -394,6 +395,20 @@ def _fill_first_array(blob, field):
     return blob[:at] + b"\xff" * size + blob[at + size:]
 
 
+def _append_zeroed_first_array(blob):
+    """``blob`` with a zeroed copy of its first array appended, and its
+    array count raised by one."""
+    at = len(_MAGIC) + 4 + 32  # magic, version, digest
+    (count,) = struct.unpack_from("<I", blob, at)
+    start = at + 4
+    (size,) = struct.unpack_from("<H", blob, start)
+    ndim = blob[start + 2 + size]
+    dims = struct.unpack_from(f"<{ndim}I", blob, start + 3 + size)
+    data = start + 3 + size + 4 * ndim
+    return (blob[:at] + struct.pack("<I", count + 1) + blob[start:]
+            + blob[start:data] + bytes(8 * math.prod(dims)))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: b"definitely not params", "is not a parameter file"),
     (lambda blob: blob[:len(blob) // 2], "truncated parameter file"),
@@ -404,7 +419,10 @@ def _fill_first_array(blob, field):
      "non-UTF-8 parameter name"),
     # every dim 0xffffffff: far more items than the file holds
     (lambda blob: _fill_first_array(blob, "dims"), "truncated parameter file"),
-], ids=["garbage", "truncated", "version", "trailing", "name", "dims"])
+    # the zeroed copy would replace the trained array
+    (_append_zeroed_first_array, "parameter 'embed.weight' stored twice"),
+], ids=["garbage", "truncated", "version", "trailing", "name", "dims",
+        "duplicate"])
 def test_load_params_rejects_garbage(tmp_path, corrupt, message):
     cfg = small_cfg()
     model = ForecastModel(cfg, n_channels=2, seed=0)

@@ -299,6 +299,12 @@ def test_fit_scaling_validation():
         fit_scaling([1, 2, 2, 4], [1, 2, 3, 4])
     with pytest.raises(ValueError):
         fit_scaling([1, 2, 3, 4], [1, -2, 3, 4])
+    for cost in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="costs must be positive and "
+                                             "finite"):
+            fit_scaling([1, 2, 3, 4], [1, cost, 3, 4])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fit_scaling([1, 2, np.nan, 4], [1, 2, 3, 4])
 
 
 # -- sweeps ------------------------------------------------------------------------------

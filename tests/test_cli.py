@@ -1,12 +1,11 @@
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mica import bench, cli, training
+from mica import bench, cli
 from mica.attention import MicaConfig
 from mica.backbone import (ForecastModel, ModelConfig, config_digest,
                            save_params)
@@ -222,6 +221,23 @@ def test_config_rejections_exit_2_and_say_why(tmp_path, capsys, cmd, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("train.lr0 = nan", "lr0 must be positive and finite, got nan"),
+    ("train.lr0 = inf", "lr0 must be positive and finite, got inf"),
+    ("model.epsilon = nan", "epsilon must be positive and finite, got nan"),
+    ("model.epsilon = inf", "epsilon must be positive and finite, got inf"),
+], ids=["lr0_nan", "lr0_inf", "epsilon_nan", "epsilon_inf"])
+def test_non_finite_settings_exit_2_and_name_the_key(workspace, capsys, line,
+                                                     message):
+    # each used to pass its check and train: a NaN diverged naming an op
+    tmp, conf = workspace
+    conf.write_text(conf.read_text() + line + "\n")
+    out = tmp / "out"
+    assert main(["train", "--config", str(conf), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _record_calls(monkeypatch, name):
     """Replace ``cli.<name>`` by a stub that records its calls and ends
     the run, so a test sees whether a command reached its work."""
@@ -348,17 +364,9 @@ def test_train_outputs_byte_identical_across_runs(workspace):
                 read_text(out_b / f"report_seed{seed}.csv"))
 
 
-def shared_pool(monkeypatch, workers):
-    """Give training's shared pool ``workers`` threads for one test."""
-    pool = ThreadPoolExecutor(max_workers=workers)
-    monkeypatch.setattr(training, "POOL_WORKERS", workers)
-    monkeypatch.setattr(training, "_POOL", pool)
-    return pool
-
-
 @pytest.mark.parametrize("workers, during", [(1, [4, 4]), (2, [4, 4])])
-def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
-                                            during):
+def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch,
+                                            shared_pool, workers, during):
     # each seed runs its window groups on the one shared pool, one worker
     # or several, under the BLAS size set at import: train leaves it alone
     tmp, conf = workspace
@@ -372,7 +380,7 @@ def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
         return real_train(*args)
 
     monkeypatch.setattr(cli, "train", train)
-    with shared_pool(monkeypatch, workers):
+    with shared_pool(workers):
         assert main(["train", "--config", str(conf),
                      "--out", str(tmp / "out")]) == 0
     assert seen == during
@@ -382,7 +390,7 @@ def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch, workers,
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("failing", [1, 2])
 def test_a_failed_seed_leaves_no_output(workspace, capsys, monkeypatch,
-                                        workers, failing):
+                                        shared_pool, workers, failing):
     # the other seed's window groups run on a shared pool of one worker
     # or two; either way the failure ends the run and nothing is written
     tmp, conf = workspace
@@ -395,7 +403,7 @@ def test_a_failed_seed_leaves_no_output(workspace, capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "train", train)
     out = tmp / "out"
-    with shared_pool(monkeypatch, workers):
+    with shared_pool(workers):
         assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: training diverged at step 3: seed {failing} went NaN\n")

@@ -370,12 +370,14 @@ def _load(text, layout="wide"):
     (lambda tmp: pca_fit(np.zeros((2, 1))),
      "pca_fit needs at least two time steps"),
     (lambda tmp: gen_leadlag(3, 100, 2, noise_sigma=-0.5, seed=0),
-     "noise_sigma must be >= 0, got -0.5"),
+     "noise_sigma must be >= 0 and finite, got -0.5"),
     (lambda tmp: gen_leadlag(3, 100, 2, noise_sigma=float("nan"), seed=0),
-     "noise_sigma must be >= 0, got nan"),
+     "noise_sigma must be >= 0 and finite, got nan"),
+    (lambda tmp: gen_leadlag(3, 100, 2, noise_sigma=float("inf"), seed=0),
+     "noise_sigma must be >= 0 and finite, got inf"),
 ], ids=["panel_shape", "id_count", "split_bounds", "no_rows", "wide_header",
         "long_header", "layout", "duplicate", "pca_steps", "negative_noise",
-        "nan_noise"])
+        "nan_noise", "inf_noise"])
 def test_rejected_panels_say_why(tmp_path, build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build(tmp_path)

@@ -541,8 +541,9 @@ def test_finite_check_raises_on_the_raw_kernel_output(unchecked):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mode_flags_are_thread_local():
-    # workers inside no_grad and a deferred pass must not leak either
-    # flag into the main thread (parallel seed training runs both in a pool)
+    # threads inside no_grad and a deferred pass must not leak either flag
+    # into the main thread: any thread may call predict, which runs its
+    # groups inside no_grad, each forward a deferred pass
     from concurrent.futures import ThreadPoolExecutor
     release = threading.Event()
     inside = threading.Barrier(5)

@@ -6,7 +6,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +224,7 @@ def test_train_determinism_same_seed():
 def test_pooled_steps_track_a_whole_batch_backward(monkeypatch):
     # the group losses and gradients, summed in group order, are the
     # whole-batch loss and gradient up to rounding
-    monkeypatch.setattr(training, "POOL_WORKERS", 4)      # 4 groups of 2
+    monkeypatch.setattr(training, "MIN_GROUPS", 4)        # 4 groups of 2
     panel, steps = tiny_panel(), 24
     cfg = TrainConfig(windows_batch=8, max_steps=steps,
                       val_check_every=steps, seeds=(1,))
@@ -246,18 +245,17 @@ def test_pooled_steps_track_a_whole_batch_backward(monkeypatch):
         assert np.abs(p.data - q.data).max() <= 1e-12 * np.abs(q.data).max()
 
 
-def test_dropout_masks_do_not_depend_on_the_pool(monkeypatch):
+def test_dropout_masks_do_not_depend_on_the_pool(monkeypatch, shared_pool):
     # each group draws its masks from a generator of its own, spawned in
     # group order, so one worker or two give the same bits, run after run
-    monkeypatch.setattr(training, "POOL_WORKERS", 4)
+    monkeypatch.setattr(training, "MIN_GROUPS", 4)
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=6, val_check_every=3,
                       seeds=(1,))
     without = train(tiny_model(), panel, cfg, seed=5)
     runs = []
     for workers in (1, 2, 2):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            monkeypatch.setattr(training, "_POOL", pool)
+        with shared_pool(workers):
             model = tiny_model(dropout=0.3)
             report = train(model, panel, cfg, seed=5)
         runs.append((report.train_trace, report.test_mae,
@@ -271,7 +269,7 @@ def test_concurrent_train_calls_each_get_the_serial_run(monkeypatch):
     # put their groups on the shared pool at once, with thread switches
     # forced often; a walk that wrote a shared parameter would change some
     # run's bits
-    monkeypatch.setattr(training, "POOL_WORKERS", 4)
+    monkeypatch.setattr(training, "MIN_GROUPS", 4)
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=4, val_check_every=2,
                       seeds=(1,))
@@ -313,12 +311,12 @@ def test_nan_window_in_a_later_group_ends_the_run_as_one_group_does(
             return ctx, tgt
         return sample
 
-    cfg = TrainConfig(windows_batch=4, max_steps=3, val_check_every=3)
     errors = []
-    # one group of 4, then groups of 2 with the NaN in the second
-    for workers in (1, 2):
-        monkeypatch.setattr(training, "POOL_WORKERS", workers)
-        monkeypatch.setattr(training, "sample_windows", poisoned([(0, 3)]))
+    # one group of 1, then two groups of 2 with the NaN in the second
+    for batch in (1, 4):
+        cfg = TrainConfig(windows_batch=batch, max_steps=3, val_check_every=3)
+        monkeypatch.setattr(training, "sample_windows",
+                            poisoned([(0, batch - 1)]))
         with pytest.raises(TrainingDivergedError) as err:
             train(tiny_model(), tiny_panel(), cfg, seed=1)
         errors.append((err.value.step, str(err.value)))
@@ -400,7 +398,7 @@ def test_a_train_step_checks_its_forward_once_and_its_loss_per_op(
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, lr: per_step.append(
         len(counted)) or step(self, lr))
-    monkeypatch.setattr(training, "POOL_WORKERS", 2)  # 2 groups of 1
+    # two groups of one window
     train(model, panel, TrainConfig(windows_batch=2, max_steps=2,
                                     val_check_every=5), seed=0)
     # per group, the forward as in test_backbone (per layer,
@@ -419,7 +417,6 @@ def test_train_frees_each_step_before_the_next_forward(monkeypatch):
     sample = training.sample_windows
     monkeypatch.setattr(training, "sample_windows",
                         lambda *a: steps.append(1) or sample(*a))
-    monkeypatch.setattr(training, "POOL_WORKERS", 2)  # 2 groups of 2
 
     def watched(*args, **kwargs):
         step = len(steps)
@@ -432,6 +429,7 @@ def test_train_frees_each_step_before_the_next_forward(monkeypatch):
         return out
 
     model.forward = watched
+    # two groups of two windows
     train(model, panel, TrainConfig(windows_batch=4, max_steps=4,
                                     val_check_every=2, seeds=(0,)), seed=0)
     assert sorted(alive) == sorted([[False] * 2 * n for n in range(4)] * 2)
@@ -523,23 +521,30 @@ def test_predict_in_window_groups_is_one_whole_batch_forward(
     assert got.tobytes() == want.tobytes()
 
 
-def test_windows_per_forward_fit_the_cache_budget(monkeypatch):
-    model = quickstart_model({})
-    # criterion 8's model (C=8, P=2) fits 64 windows in the budget
-    c8 = ForecastModel(ModelConfig(
+def criterion8_model() -> ForecastModel:
+    """Criterion 8's mica model: C=8, L=16, H=8, two patches."""
+    return ForecastModel(ModelConfig(
         horizon=8, input_size=16, n_layers=2, d_model=64, n_heads=4,
         ff_hidden=128, d_k=16, d_v=16, patch_len=8, stride=8,
-        mica=MicaConfig(n_heads=4, d_k=16, d_v=16)), 8)
+        mica=MicaConfig(n_heads=4, d_k=16, d_v=16)), 8, seed=1)
+
+
+def test_windows_per_forward_fit_the_cache_budget(monkeypatch, shared_pool):
+    model = quickstart_model({})
+    # criterion 8's model (C=8, P=2) fits 64 windows in the budget
+    c8 = criterion8_model()
     sizes = forward_sizes(model, monkeypatch)
-    for workers, group, groups in [(1, 5, [1, 5, 5]), (2, 3, [2, 3, 3, 3])]:
-        monkeypatch.setattr(training, "POOL_WORKERS", workers)
-        assert windows_per_forward(model, 64) == 12
-        # a batch that fits one cache group is spread over every worker
-        assert windows_per_forward(model, 5) == group
-        assert windows_per_forward(c8, 32) == 32 // workers
-        sizes.clear()
-        predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
-        assert sorted(sizes) == groups
+    for workers in (1, 2, 4):
+        with shared_pool(workers):
+            assert windows_per_forward(model, 64) == 12
+            # a batch that fits one cache group is split in two, whatever
+            # the pool's size
+            assert windows_per_forward(model, 5) == 3
+            assert windows_per_forward(model, 1) == 1
+            assert windows_per_forward(c8, 32) == 16
+            sizes.clear()
+            predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
+            assert sorted(sizes) == [2, 3, 3, 3]
     # criterion 6's THIN model at C=512 takes one window per forward
     thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
                        n_heads=2, ff_hidden=64, d_k=16, d_v=16,
@@ -550,6 +555,109 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch):
                                64) == 8
     with pytest.raises(ConfigError, match="batch"):
         windows_per_forward(model, 0)
+
+
+CPU_COUNT_RUN = """
+import hashlib, os, sys
+n, shape = int(sys.argv[1]), sys.argv[2]
+# the host this interpreter sees has n CPUs
+os.sched_getaffinity = lambda pid: set(range(n))
+os.cpu_count = lambda: n
+from mica import training
+from mica.attention import MicaConfig
+from mica.backbone import ForecastModel, ModelConfig
+from mica.data import chrono_split, gen_leadlag
+heads = dict(n_heads=4, d_k=16, d_v=16)
+over, channels, batch = {
+    "criterion8": (dict(horizon=8, input_size=16, patch_len=8, stride=8),
+                   8, 32),
+    "quickstart": (dict(horizon=24, input_size=96), 7, 64)}[shape]
+model = ForecastModel(ModelConfig(n_layers=2, d_model=64, ff_hidden=128,
+                                  mica=MicaConfig(**heads), **heads, **over),
+                      channels, seed=1)
+split = 4 * over["horizon"]
+panel = chrono_split(gen_leadlag(channels, 600, lag=4, noise_sigma=0.1,
+                                 seed=100), val_size=split, test_size=split)
+report = training.train(model, panel, training.TrainConfig(
+    windows_batch=batch, max_steps=3, val_check_every=3, seeds=(1,)), seed=1)
+bits = hashlib.sha1(repr((report.train_trace, report.test_mae)).encode())
+for p in model.parameters():
+    bits.update(p.data.tobytes())
+print(training._POOL._max_workers, bits.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("shape, cpus", [
+    ("criterion8", (1, 2, 4)), ("quickstart", (2, 8))],
+    ids=["criterion8", "quickstart"])
+def test_training_bits_do_not_depend_on_the_cpu_count(shape, cpus):
+    # group sizes set the order a step sums its gradients in, so they
+    # follow from the model and the batch alone: fresh interpreters that
+    # see 1, 2, 4 or 8 CPUs size their pools to match and train the same
+    # bits (criterion 8's B=32 at 1, 2 or 4 CPUs would otherwise run
+    # groups of 32, 16 or 8, and the quick start's 12 would become 8)
+    env = dict(os.environ, PYTHONPATH=str(Path(mica.__file__).parents[1]))
+    runs = [subprocess.run(
+        [sys.executable, "-c", CPU_COUNT_RUN, str(n), shape], env=env,
+        capture_output=True, text=True, check=True).stdout.split()
+        for n in cpus]
+    assert [int(workers) for workers, _ in runs] == list(cpus)
+    assert len({bits for _, bits in runs}) == 1
+
+
+def test_a_callers_tape_flags_reach_every_pooled_group(shared_pool):
+    def flags(_):
+        taped = (Tensor(1.0, requires_grad=True) * 2.0).requires_grad
+        return taped, tensor.grad_enabled.get(), tensor.deferred.get()
+
+    def seen():
+        return set(training._pooled(flags, range(8)))
+
+    def seen_in_a_checked_pass():
+        got = []
+        # the pass's result is finite, so it runs once
+        tensor.checked_once(lambda: got.append(seen()) or Tensor(1.0))
+        return got
+
+    with shared_pool(2):
+        assert seen() == {(True, True, False)}
+        assert seen_in_a_checked_pass() == [{(True, True, True)}]
+        with no_grad():
+            assert seen() == {(False, False, False)}
+            assert seen_in_a_checked_pass() == [{(False, False, True)}]
+        assert seen() == {(True, True, False)}
+
+
+def test_a_pooled_task_leaks_no_flag_to_its_caller_or_the_next_task(
+        shared_pool):
+    # on one worker every task runs on the same thread; each still starts
+    # from its caller's flags, and what it sets dies with its context
+    def flip(_):
+        flags = tensor.grad_enabled.get(), tensor.deferred.get()
+        tensor.grad_enabled.set(not flags[0])      # never reset
+        tensor.deferred.set(not flags[1])
+        return flags
+
+    with shared_pool(1) as pool:
+        assert list(training._pooled(flip, range(3))) == [(True, False)] * 3
+        with no_grad():
+            assert list(training._pooled(flip, range(3))) == [
+                (False, False)] * 3
+        # nor does the worker thread's own context change
+        assert pool.submit(flip, 0).result() == (True, False)
+    assert tensor.grad_enabled.get() and not tensor.deferred.get()
+
+
+def test_train_inside_no_grad_is_refused_and_changes_nothing():
+    # its groups would record no tape, and Adam would skip every parameter
+    model = tiny_model()
+    before = [p.data.copy() for p in model.parameters()]
+    cfg = TrainConfig(windows_batch=4, max_steps=3, val_check_every=3)
+    with no_grad(), pytest.raises(RuntimeError, match="inside no_grad"):
+        train(model, tiny_panel(), cfg, seed=1)
+    assert all(np.array_equal(p.data, b)
+               for p, b in zip(model.parameters(), before))
+    assert tensor.grad_enabled.get()
 
 
 def test_concurrent_predict_calls_each_get_the_serial_forecast():
@@ -624,10 +732,14 @@ def test_rejected_training_inputs_say_why(build, error, message):
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr0=-1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_decay=0.0)
+    for lr0 in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"lr0 must be positive and finite, got {lr0}")):
+            TrainConfig(lr0=lr0)
+    for decay in (0.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"lr_decay must be in (0, 1], got {decay}")):
+            TrainConfig(lr_decay=decay)
     with pytest.raises(ConfigError):
         TrainConfig(seeds=())
     with pytest.raises(ConfigError):
