@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .nn import Linear, Module, dropout
-from .tensor import (ShapeError, Tensor, _make, _unbroadcast, as_tensor,
-                     check_inputs, concat, gelu, phi_grad, phi_np, records,
-                     sigmoid, softmax_np)
+from .tensor import (ShapeError, Tensor, _make, as_tensor, check_inputs,
+                     concat, gelu, phi_grad, phi_np, records, sigmoid,
+                     softmax_np)
 
 GATE_KINDS = ("shared_beta", "layerwise_beta", "channelwise_beta",
               "layerwise_channelwise_beta", "mlp", "mlp_query")
@@ -179,21 +179,14 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     out, attn = _attend(q.data, k.data, v.data, scale)
 
     def backward(g):
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = _unbroadcast(np.matmul(attn.swapaxes(-1, -2), g), v.shape)
-        if q.requires_grad or k.requires_grad:
-            # d scores = attn * (d attn - sum(d attn * attn)) * scale
-            gs = np.matmul(g, v.data.swapaxes(-1, -2))
-            gs -= (gs * attn).sum(axis=-1, keepdims=True)
-            gs *= attn
-            gs *= scale
-            if q.requires_grad:
-                gq = _unbroadcast(np.matmul(gs, k.data), q.shape)
-            if k.requires_grad:
-                gk = _unbroadcast(np.matmul(gs.swapaxes(-1, -2), q.data),
-                                  k.shape)
-        return gq, gk, gv
+        gv = np.matmul(attn.swapaxes(-1, -2), g)
+        # d scores = attn * (d attn - sum(d attn * attn)) * scale
+        gs = np.matmul(g, v.data.swapaxes(-1, -2))
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
+        return (np.matmul(gs, k.data), np.matmul(gs.swapaxes(-1, -2), q.data),
+                gv)
 
     return _make(out, "local_attention", (q, k, v), backward)
 
@@ -215,9 +208,10 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
         raise ShapeError(f"keys {k.shape} and values {v.shape} differ "
                          "before the head dimension")
     check_inputs(k, v, w)
+    extra = () if w is None else (w,)
     pk = phi_np(k.data)                              # (B,C,N,P,d_k)
     # d phi(K) / dK, computed once for both ops when the tape needs it
-    dpk = phi_grad(pk) if records((k,)) else None
+    dpk = phi_grad(pk) if records((k, v) + extra) else None
     # each channel's unweighted write phi(K)^T V and sum_p phi(K)^T
     own_m = np.matmul(pk.swapaxes(-1, -2), v.data)   # (B,C,N,d_k,d_v)
     own_z = pk.sum(axis=-2, keepdims=True).swapaxes(-1, -2)   # (B,C,N,d_k,1)
@@ -236,25 +230,18 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
             g = g.sum(axis=1, keepdims=True) - g
         if w is None:
             return g, ()
-        gw = None
-        if w.requires_grad:
-            gw = _unbroadcast((g * own).sum(axis=(-2, -1), keepdims=True),
-                              w.shape)
-        return g * w.data, (gw,)
+        return g * w.data, ((g * own).sum(axis=(-2, -1), keepdims=True),)
 
     def backward_m(g):
         g, gw = own_grad(g, own_m)                   # (B,1|C,N,d_k,d_v)
-        gk = None
-        if k.requires_grad:
-            gk = np.matmul(v.data, g.swapaxes(-1, -2))
-            gk *= dpk
-        return (gk, np.matmul(pk, g) if v.requires_grad else None) + gw
+        gk = np.matmul(v.data, g.swapaxes(-1, -2))
+        gk *= dpk
+        return (gk, np.matmul(pk, g)) + gw
 
     def backward_z(g):
         g, gw = own_grad(g, own_z)                   # (B,1|C,N,d_k,1)
-        return (g.swapaxes(-1, -2) * dpk if k.requires_grad else None,) + gw
+        return (g.swapaxes(-1, -2) * dpk,) + gw
 
-    extra = () if w is None else (w,)
     return (_make(m, "global_memory", (k, v) + extra, backward_m),
             _make(z, "global_memory", (k,) + extra, backward_z))
 
@@ -277,19 +264,13 @@ def global_attention(q: Tensor, memory: Tensor, z: Tensor,
     def backward(g):
         gn = g / den                                 # d numerator
         gd = (gn * out).sum(axis=-1, keepdims=True)  # minus d denominator
-        gq = gm = gz = None
-        if q.requires_grad:
-            gq = np.matmul(gn, memory.data.swapaxes(-1, -2))
-            gq -= gd * z.data.swapaxes(-1, -2)
-            gq *= phi_grad(pq)
+        gq = np.matmul(gn, memory.data.swapaxes(-1, -2))
+        gq -= gd * z.data.swapaxes(-1, -2)
+        gq *= phi_grad(pq)
         pq_t = pq.swapaxes(-1, -2)
-        if memory.requires_grad:
-            gm = _unbroadcast(np.matmul(pq_t, gn), memory.shape)
-        if z.requires_grad:
-            gz = np.matmul(pq_t, gd)
-            np.negative(gz, out=gz)
-            gz = _unbroadcast(gz, z.shape)
-        return gq, gm, gz
+        gz = np.matmul(pq_t, gd)
+        np.negative(gz, out=gz)
+        return gq, np.matmul(pq_t, gn), gz
 
     return _make(out, "global_attention", (q, memory, z), backward)
 
@@ -307,12 +288,7 @@ def mix(a_local: Tensor, a_global: Tensor, gate_weight) -> Tensor:
     out += (1.0 - gw.data) * al.data
 
     def backward(g):
-        return (_unbroadcast(g * (1.0 - gw.data), al.shape)
-                if al.requires_grad else None,
-                _unbroadcast(g * gw.data, ag.shape)
-                if ag.requires_grad else None,
-                _unbroadcast(g * (ag.data - al.data), gw.shape)
-                if gw.requires_grad else None)
+        return g * (1.0 - gw.data), g * gw.data, g * (ag.data - al.data)
 
     return _make(out, "mix", (al, ag, gw), backward)
 

@@ -64,7 +64,10 @@ def _softmax_flops(rows: int, width: int) -> int:
 
 def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
     """Raise ``ValueError`` unless ``cfg`` can run each of ``mechanisms``,
-    each named once."""
+    at least one, each named once."""
+    if not mechanisms:
+        raise ValueError("no mechanism named: list at least one of "
+                         f"{list(MECHANISMS)}")
     unknown = sorted(set(mechanisms) - set(MECHANISMS))
     if unknown:
         raise ValueError(f"unknown mechanisms {unknown}")

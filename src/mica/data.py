@@ -19,6 +19,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -178,15 +179,31 @@ def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
     return values
 
 
+def _channel_ids(header, path, line_no) -> list[str]:
+    """A wide header's channel ids, each non-empty and named once, so that
+    every row of a forecast names one channel."""
+    ids = [h.strip() for h in header[1:]]
+    seen = set()
+    for cid in ids:
+        if not cid or cid in seen:
+            raise ConfigError(f"{path}:{line_no}: channel id {cid!r} is "
+                              + ("named twice" if cid else "empty"))
+        seen.add(cid)
+    return ids
+
+
 def _load_clean_wide(path) -> PanelDataset:
     """A wide panel in one ``np.loadtxt`` pass, whose C reader gives any
     number it takes the bits ``float`` gives.  A file it does not take
     whole (a ragged, quoted or whitespace-only line, NA, an empty or bad
-    cell, a bad grid, no rows, a non-finite value) raises ``ValueError``."""
+    cell, a bad grid, no rows, a non-finite value) raises ``ValueError``,
+    as does a bad channel id, which the cell reader refuses the same way."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if len(header) < 2:
             raise ValueError("no channel columns")
+        channel_ids = _channel_ids(header, path, reader.line_num)
         with warnings.catch_warnings():  # an empty body only warns
             warnings.simplefilter("ignore")
             table = np.loadtxt(fh, np.dtype("O" + ",f8" * (len(header) - 1)),
@@ -197,8 +214,7 @@ def _load_clean_wide(path) -> PanelDataset:
         raise ValueError("no rows, or a non-finite value")
     _check_time_grid(_parse_column(table[stamp], _parse_timestamp, path,
                                    range(len(table))), path)
-    return PanelDataset(values=values,
-                        channel_ids=[h.strip() for h in header[1:]])
+    return PanelDataset(values=values, channel_ids=channel_ids)
 
 
 def input_file(path, what: str) -> Path:
@@ -214,9 +230,10 @@ def load_csv(path, layout: str = "wide",
 
     ``wide``: header ``timestamp,<id>,<id>,...``, one row per time step.
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
-    every channel must cover the identical time grid.  Timestamps are
-    numbers or ISO dates, and must be finite.  A value is a number, never
-    infinite, or ``NA``, ``nan`` or an empty cell for a missing one.
+    every channel must cover the identical time grid.  Channel ids must be
+    non-empty, and distinct in a wide header.  Timestamps are numbers or
+    ISO dates, and must be finite.  A value is a number, never infinite,
+    or ``NA``, ``nan`` or an empty cell for a missing one.
 
     Blank lines are skipped, and errors name the physical ``path:line``.
     Of several faults, the one on the earliest line is reported, except
@@ -241,6 +258,7 @@ def load_csv(path, layout: str = "wide",
         if len(header) < 2:
             raise ConfigError(f"{path}: wide layout needs a timestamp column "
                               "plus at least one channel")
+        channel_ids = _channel_ids(header, path, numbered[0][0])
         width = len(header)
     elif layout == "long":
         if len(header) != 3:
@@ -266,14 +284,19 @@ def load_csv(path, layout: str = "wide",
             nums)
         reject_ragged()
         _check_time_grid(stamps, path, nums)
-        channel_ids = [h.strip() for h in header[1:]]
         # column-major, as the rows of the file lie: numpy sums over time
         # in a layout-dependent order, and pca_fit's bits follow it
         values = np.array(columns, order="F")
     else:
-        stamps, vals = _parse_columns([row[1:] for row in rows],
+        # an empty id is a bad cell: the cells above it are parsed first
+        blank = next((i for i, row in enumerate(rows) if not row[0].strip()),
+                     len(rows))
+        stamps, vals = _parse_columns([row[1:] for row in rows[:blank]],
                                       [_parse_timestamp, _parse_value], path,
                                       nums)
+        if blank < len(rows):
+            raise ConfigError(f"{path}:{nums[blank]}: channel id "
+                              f"{rows[blank][0]!r} is empty")
         series: dict[str, dict[float, float]] = {}
         for row, ts, val, n in zip(rows, stamps.tolist(), vals.tolist(),
                                    nums):
@@ -351,12 +374,9 @@ def pca_invert(transform: PcaTransform, rotated: np.ndarray) -> np.ndarray:
 # -- synthetic panels ----------------------------------------------------------------
 
 def _ar1(innovations: np.ndarray, coeff: float) -> np.ndarray:
-    out = np.empty_like(innovations)
-    acc = 0.0
-    for t, e in enumerate(innovations):
-        acc = coeff * acc + e
-        out[t] = acc
-    return out
+    return np.fromiter(itertools.accumulate(
+        innovations.tolist(), lambda acc, e: coeff * acc + e), np.float64,
+        len(innovations))
 
 
 def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,

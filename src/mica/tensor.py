@@ -3,11 +3,15 @@
 Every op records a backward closure on a tape.  ``leaf_grads(root)``
 walks the tape from a scalar in reverse topological order and returns
 each reached leaf's gradient; ``backward()`` is that walk plus
-``add_leaf_grads``.  A backward closure returns, per parent, None, a view
-of its incoming gradient, or an array it built, and the walk alone adds
-them up: a leaf's are summed into a writable copy of its first one.
-Interior gradients live in the walk: the first as is, a new sum for each
-later one, dropped once the node's closure has run.  No array a closure
+``add_leaf_grads``.  A backward closure returns one raw partial per
+parent, a view of its incoming gradient or an array it built, and never
+asks whether a parent needs a gradient.  The walk alone holds the
+gradient contract: it drops the partial of a parent that needs none, sums
+one in a broadcast shape back to its parent's shape (``_unbroadcast``),
+raises ``ShapeError`` on one that still differs, and adds them up: a
+leaf's are summed into a writable copy of its first one.  Interior
+gradients live in the walk: the first as is, a new sum for each later
+one, dropped once the node's closure has run.  No array a closure
 returned is ever written, and the walk writes no tensor, even when a
 closure raises, so threads may walk graphs that share only their leaves
 at once, as a training step's window groups do.  Outside construction,
@@ -247,10 +251,14 @@ def add_leaf_grads(pairs: Iterable[tuple[Tensor, np.ndarray]]) -> None:
 def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
     """(leaf, gradient) pairs for each leaf the scalar ``root`` reaches,
     in the order the walk first reaches them; each gradient is a new
-    writable array.  Gradients are added by the rule in the module
-    docstring, each in parent order, and every interior node has all of
-    its own before its closure runs.  The walk writes no tensor: each call
-    propagates only its own seed, also after one that raised."""
+    writable array of its leaf's shape.  Each closure returns one partial
+    per parent; the walk skips a parent whose ``requires_grad`` is False,
+    sums a partial of another shape back through ``_unbroadcast`` and
+    raises ``ShapeError`` if it still does not fit.  Gradients are added
+    by the rule in the module docstring, each in parent order, and every
+    interior node has all of its own before its closure runs.  A constant
+    root reaches no leaf.  The walk writes no tensor: each call propagates
+    only its own seed, also after one that raised."""
     if root.data.size != 1:
         raise ShapeError(
             f"backward() requires a scalar, got shape {root.shape}")
@@ -272,6 +280,14 @@ def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
 
     def add(node: Tensor, g: np.ndarray) -> None:
         # no array a closure returned is ever written
+        if not node.requires_grad:
+            return
+        if g.shape != node.shape:
+            summed = _unbroadcast(g, node.shape)
+            if summed.shape != node.shape:
+                raise ShapeError(f"a backward returned a gradient of shape "
+                                 f"{g.shape} for an input of {node.shape}")
+            g = summed
         key = id(node)
         if node._backward is not None:
             interior[key] = g if key not in interior else interior[key] + g
@@ -290,8 +306,7 @@ def leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
             raise ShapeError(f"a backward returned {len(grads)} gradients "
                              f"for {len(node._parents)} inputs")
         for p, pg in zip(node._parents, grads):
-            if pg is not None:
-                add(p, pg)
+            add(p, pg)
     return list(leaves.values())
 
 
@@ -313,47 +328,24 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _make(out, "add", (a, b), backward)
+    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _make(out, "sub", (a, b), backward)
+    return _make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return _make(out, "mul", (a, b), backward)
+    return _make(a.data * b.data, "mul", (a, b),
+                 lambda g: (g * b.data, g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def backward(g):
-        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                if b.requires_grad else None)
-
-    return _make(out, "div", (a, b), backward)
+    return _make(a.data / b.data, "div", (a, b),
+                 lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a, b, bias=None) -> Tensor:
@@ -379,20 +371,13 @@ def matmul(a, b, bias=None) -> Tensor:
 
     def backward(g):
         if b.ndim != 2:
-            return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)),
-                                 a.shape) if a.requires_grad else None,
-                    _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g),
-                                 b.shape) if b.requires_grad else None)
+            return (np.matmul(g, b.data.swapaxes(-1, -2)),
+                    np.matmul(a.data.swapaxes(-1, -2), g))
         # activation @ weight: each gradient is one 2-D GEMM over the
         # flattened leading axes, with no broadcast sum for the weight
         g2 = g.reshape(-1, g.shape[-1])
-        grads = ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                 a.data.reshape(-1, a.shape[-1]).T @ g2
-                 if b.requires_grad else None)
-        if bias is None:
-            return grads
-        return grads + (_unbroadcast(g, bias.shape)
-                        if bias.requires_grad else None,)
+        return ((g2 @ b.data.T).reshape(a.shape),
+                a.data.reshape(-1, a.shape[-1]).T @ g2, g)[:len(parents)]
 
     return _make(out, "matmul", parents, backward)
 
@@ -499,11 +484,7 @@ def layer_norm(x, gain, shift, eps: float, residual) -> Tensor:
         dx -= normed * (gh.sum(axis=-1, keepdims=True) * inv_n)
         dx /= std
         # x and the residual share one dx, so backward lends it to both
-        return (dx if x.requires_grad else None,
-                dx if residual.requires_grad else None,
-                _unbroadcast(g * normed, gain.shape)
-                if gain.requires_grad else None,
-                _unbroadcast(g, shift.shape) if shift.requires_grad else None)
+        return dx, dx, g * normed, g
 
     return _make(out, "layer_norm", (x, residual, gain, shift), backward)
 
@@ -620,11 +601,8 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
 
-    def backward(g):
-        return tuple(piece if t.requires_grad else None
-                     for t, piece in zip(ts, np.split(g, splits, axis=axis)))
-
-    return _make(out, "concat", tuple(ts), backward)
+    return _make(out, "concat", tuple(ts),
+                 lambda g: np.split(g, splits, axis=axis))
 
 
 def gather_last(x, index: np.ndarray) -> Tensor:

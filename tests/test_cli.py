@@ -364,9 +364,9 @@ def test_train_outputs_byte_identical_across_runs(workspace):
                 read_text(out_b / f"report_seed{seed}.csv"))
 
 
-@pytest.mark.parametrize("workers, during", [(1, [4, 4]), (2, [4, 4])])
-def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch,
-                                            shared_pool, workers, during):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seeds_share_one_pool_and_leave_the_blas_size_alone(
+        workspace, monkeypatch, shared_pool, workers):
     # each seed runs its window groups on the one shared pool, one worker
     # or several, under the BLAS size set at import: train leaves it alone
     tmp, conf = workspace
@@ -383,7 +383,7 @@ def test_parallel_seeds_share_the_blas_pool(workspace, monkeypatch,
     with shared_pool(workers):
         assert main(["train", "--config", str(conf),
                      "--out", str(tmp / "out")]) == 0
-    assert seen == during
+    assert seen == [4, 4]
     assert blas["threads"] == 4
 
 
@@ -637,6 +637,22 @@ def test_bench_and_flops_reject_a_repeated_mechanism(workspace, capsys):
         assert "['mica'] named more than once" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["bench", "flops"])
+def test_bench_and_flops_refuse_an_empty_mechanism_list(workspace, capsys,
+                                                        cmd):
+    tmp, conf = workspace
+    empty_conf = tmp / "empty.conf"
+    empty_conf.write_text("model.horizon = 4\nmodel.mica = true\n"
+                          "bench.grid = 2,4,8,16\nbench.measure = false\n"
+                          "bench.mechanisms =\n")
+    out = tmp / f"{cmd}_out"
+    assert main([cmd, "--config", str(empty_conf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "no mechanism named" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["16,8,32,64", "8,16", "0,8,16,32"])

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica.data import (ConfigError, PanelDataset, _fill_or_reject,
+from mica.data import (ConfigError, PanelDataset, _ar1, _fill_or_reject,
                        _load_clean_wide, _parse_timestamp, _parse_value,
                        chrono_split, gen_independent, gen_leadlag, load_csv,
                        pca_apply, pca_fit, pca_invert, write_csv)
@@ -253,7 +253,8 @@ def cell_reader_outcome(path, forward_fill, monkeypatch):
 @pytest.mark.parametrize("text, clean, per_cell", [
     ("timestamp,a\n0,1.0\n \t\n1,2.0\n", False, False),
     ("timestamp,a\n0,1.0,\n1,2.0\n", False, False),
-    ("timestamp,a,\n0,1.0,\n1,2.0,\n", False, True),
+    # an empty channel id: both readers refuse it, so no per-cell oracle
+    ("timestamp,a,\n0,1.0,\n1,2.0,\n", False, False),
     ("timestamp,a\n" + "".join(f"{'0' * 199}{t},{t}.5\n" for t in range(3)),
      True, True),
     ("timestamp,a\n0,1.0\n" + "x" * 200 + ",2.0\n", False, True),
@@ -279,6 +280,36 @@ def test_clean_pass_matches_the_cell_reader(tmp_path, monkeypatch, text,
                     cell_reader_outcome(path, forward_fill, monkeypatch))
     if per_cell:
         assert_same_outcome(path, "wide")
+
+
+@pytest.mark.parametrize("text, layout, message", [
+    ("timestamp,a,a\n0,1,2\n1,3,4\n", "wide",
+     "ids.csv:1: channel id 'a' is named twice"),
+    ("timestamp,a,\n0,1.0,\n1,2.0,\n", "wide",
+     "ids.csv:1: channel id '' is empty"),
+    # a header fault is on the earliest line, before any bad cell
+    ("timestamp, ,a\n0,oops,2\n", "wide", "ids.csv:1: channel id '' is empty"),
+    ("id,ts,value\na,0,1\n,0,2\na,1,3\n,1,4\n", "long",
+     "ids.csv:3: channel id '' is empty"),
+    # an empty id is a bad cell: an earlier bad cell comes first, and it
+    # comes before an earlier duplicate observation
+    ("id,ts,value\na,0,1\na,1,oops\n ,0,2\n", "long",
+     "ids.csv:3: cannot parse value 'oops'"),
+    ("id,ts,value\na,0,1\na,0,5\n ,0,2\n", "long",
+     "ids.csv:4: channel id ' ' is empty"),
+], ids=["wide_repeated", "wide_empty", "wide_empty_before_bad_cell",
+        "long_empty", "long_bad_cell_first", "long_empty_before_duplicate"])
+def test_channel_ids_must_be_non_empty_and_distinct(tmp_path, monkeypatch,
+                                                    text, layout, message):
+    path = tmp_path / "ids.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_csv(path, layout=layout)
+    if layout == "wide":  # the np.loadtxt pass refuses the file too
+        with pytest.raises(ValueError):
+            _load_clean_wide(path)
+        assert cell_reader_outcome(path, False, monkeypatch) == outcome(
+            path, layout, False)
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r\n"],
@@ -465,6 +496,17 @@ def test_leadlag_deterministic_and_noisy():
     # noise keeps followers close to, but not equal to, the shifted driver
     resid = a.values[1, 2:] - a.values[0, :-2]
     assert 0 < np.abs(resid).mean() < 0.2
+
+
+def test_ar1_matches_the_loop_bit_for_bit():
+    # the generators' AR(1) recursion, as the loop it replaced wrote it
+    innovations = np.random.default_rng(5).normal(size=500)
+    for coeff in (0.8, 0.9):
+        want, acc = np.empty(500), 0.0
+        for t, e in enumerate(innovations):
+            acc = coeff * acc + e
+            want[t] = acc
+        assert _ar1(innovations, coeff).tobytes() == want.tobytes()
 
 
 def test_independent_channels_are_uncorrelated():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mica.attention import global_attention, global_memory, mix
 from mica.gradcheck import gradcheck
 from mica.nn import LayerNorm, Linear, Module
-from mica.tensor import (Tensor, concat, div, gather_last, gelu, layer_norm,
-                         phi, sigmoid, softmax_lastdim, sqrt, tabs)
+from mica.tensor import (Tensor, add, concat, div, gather_last, gelu,
+                         layer_norm, matmul, mul, phi, sigmoid,
+                         softmax_lastdim, sqrt, sub, tabs)
 
 
 def test_gradcheck_passes_composite_expression():
@@ -62,6 +64,53 @@ def test_gradcheck_every_op_in_vocabulary():
         return (softmax_lastdim(div(z, denom)) * phi(z) + sigmoid(z)).sum()
 
     report = gradcheck(f, {"a": a, "b": b, "gain": gain, "shift": shift})
+    assert report.passed, report.per_input
+
+
+# op, the shape of each input (broadcasting where the op allows), and the
+# inputs drawn from U(0.5, 1.5) rather than N(0, 1): a divisor, a gate
+# weight, channel weights and the memory normalizer z
+CONSTANT_OPERAND_CASES = {
+    "add": (add, [(2, 3), (3,)], ()),
+    "sub": (sub, [(2, 3), (2, 1)], ()),
+    "mul": (mul, [(2, 3), (1, 3)], ()),
+    "div": (div, [(2, 3), (3,)], (1,)),
+    "matmul": (matmul, [(2, 4, 3), (3, 5)], ()),
+    "matmul_batched": (matmul, [(2, 4, 3), (1, 3, 5)], ()),
+    "matmul_bias": (matmul, [(2, 4, 3), (3, 5), (5,)], ()),
+    "layer_norm": (lambda x, gain, shift, r: layer_norm(x, gain, shift, 1e-5,
+                                                        r),
+                   [(2, 3, 4), (4,), (4,), (2, 3, 4)], ()),
+    "mix": (mix, [(2, 3, 2, 4, 3), (2, 3, 2, 4, 3), (1, 1, 2, 1, 1)], (2,)),
+    "global_memory": (lambda k, v, w: global_memory(k, v, w, exclusion=True),
+                      [(2, 3, 2, 4, 3), (2, 3, 2, 4, 2), (1, 3, 1, 1, 1)],
+                      (2,)),
+    "global_attention": (global_attention,
+                         [(2, 3, 2, 4, 3), (2, 1, 2, 3, 2), (2, 1, 2, 3, 1)],
+                         (2,)),
+}
+
+
+@pytest.mark.parametrize("name, constant", [
+    (name, i) for name, (_, shapes, _) in CONSTANT_OPERAND_CASES.items()
+    for i in range(len(shapes))])
+def test_gradcheck_with_one_constant_operand(name, constant):
+    # each closure returns a partial for every parent; the walk drops the
+    # constant's, and the others must still be right
+    op, shapes, positive = CONSTANT_OPERAND_CASES[name]
+    rng = np.random.default_rng(17)
+    inputs = [Tensor(rng.uniform(0.5, 1.5, size=shape) if i in positive
+                     else rng.normal(size=shape), requires_grad=i != constant)
+              for i, shape in enumerate(shapes)]
+
+    def outputs():
+        outs = op(*inputs)
+        return outs if isinstance(outs, tuple) else (outs,)
+
+    weights = [Tensor(rng.normal(size=o.shape)) for o in outputs()]
+    report = gradcheck(
+        lambda: sum((o * w).sum() for o, w in zip(outputs(), weights)),
+        {f"input{i}": t for i, t in enumerate(inputs) if i != constant})
     assert report.passed, report.per_input
 
 

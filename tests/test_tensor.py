@@ -313,6 +313,49 @@ def test_backward_rejects_a_closure_with_too_few_gradients():
         out.sum().backward()
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 1)])
+def test_a_broadcast_gradient_is_summed_to_its_input_shape(shape):
+    # the closure returns g itself for both parents; the walk alone sums
+    # the broadcast one back
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = _make(a.data + b.data, "pair", (a, b), lambda g: (g, g))
+    w = rng.normal(size=(2, 3))
+    pairs = {id(leaf): g
+             for leaf, g in leaf_grads((out * Tensor(w)).sum())}
+    npt.assert_array_equal(pairs[id(a)], w)
+    npt.assert_array_equal(pairs[id(b)], _unbroadcast(w, shape))
+    assert pairs[id(b)].shape == shape
+
+
+@pytest.mark.parametrize("returned, shape", [((2,), (3,)), ((2, 4), (3,)),
+                                             ((3,), (1, 3))])
+def test_a_gradient_that_does_not_fit_its_input_is_refused(returned, shape):
+    a = Tensor(np.ones(shape), requires_grad=True)
+    out = _make(a.data * 2.0, "bad", (a,), lambda g: (np.ones(returned),))
+    with pytest.raises(ShapeError, match=re.escape(
+            f"gradient of shape {returned} for an input of {shape}")):
+        leaf_grads(out.sum())
+    assert a.grad is None
+
+
+def test_a_constant_parent_gets_no_gradient():
+    # the closure returns an array for the constant too; the walk drops it
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    c = Tensor(np.full(3, 2.0))
+    out = _make(x.data * c.data, "scaled", (x, c),
+                lambda g: (g * c.data, g * x.data))
+    pairs = leaf_grads(out.sum())
+    assert [leaf for leaf, _ in pairs] == [x]
+    npt.assert_array_equal(pairs[0][1], np.full(3, 2.0))
+    out.sum().backward()
+    assert c.grad is None
+    npt.assert_array_equal(x.grad, np.full(3, 2.0))
+    # a constant root reaches nothing
+    assert leaf_grads(Tensor(1.0)) == []
+
+
 def test_read_only_gradient_is_never_owned():
     # s + s gives s a 0-d sum, a numpy scalar, that shares memory with
     # nothing; the sum's read-only broadcast of it must still be copied
