@@ -5,7 +5,9 @@ a matmul (m,k)@(k,n) is 2*m*k*n; every elementwise op (add, mul, div,
 exp, activation) is 1 per output element; a reduction over k elements is
 k; a softmax row of width n is 5n (max, shift, exp, sum, divide);
 a layer-norm row of width n is 5n + 4.  Only ratios and growth rates
-matter, so activations are deliberately flat-rate.
+matter, so activations are deliberately flat-rate.  ``count_flops`` and
+``count_params`` read one table of the model's affine maps,
+``_affine_maps``, so both are exact for any ``d_k`` and ``d_v``.
 
 Mechanisms, each timed as a no-grad ``ForecastModel`` forward; which ones
 a config can run is decided by ``check_mechanisms``, before any work:
@@ -50,18 +52,6 @@ class FlopReport:
                 self.backbone_flops)
 
 
-def _ln_flops(width: int) -> int:
-    return 5 * width + 4
-
-
-def _linear_flops(rows: int, n_in: int, n_out: int) -> int:
-    return rows * (2 * n_in * n_out + n_out)
-
-
-def _softmax_flops(rows: int, width: int) -> int:
-    return rows * 5 * width
-
-
 def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
     """Raise ``ValueError`` unless ``cfg`` can run each of ``mechanisms``,
     at least one, each named once."""
@@ -78,51 +68,61 @@ def check_mechanisms(cfg: ModelConfig, mechanisms) -> None:
         raise ValueError("mechanism 'mica' needs cfg.mica (model.mica = true)")
 
 
-def _check_costed(cfg: ModelConfig, n_channels: int, mechanism: str) -> None:
-    """What ``ForecastModel`` rejects, the cost formulas reject too."""
+def _affine_maps(cfg: ModelConfig, n_channels: int,
+                 mechanism: str) -> list[tuple[str, int, int, int, int]]:
+    """Every affine map of ``mechanism``'s model, each listed once as
+    (FlopReport part, rows per window, n_in, n_out, copies): the one
+    statement of their shapes that both counts read.  What
+    ``ForecastModel`` rejects, this rejects too."""
     check_mechanisms(cfg, (mechanism,))
     if n_channels < 1:
         raise ValueError(f"n_channels must be positive, got {n_channels}")
+    c = n_channels
+    p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
+    d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
+    tokens = c * p
+    maps = [("backbone", tokens, cfg.patch_len, d, 1)]           # embed
+    for n_in, n_out in ((d, n * cfg.d_k), (d, n * cfg.d_k),      # W_q, W_k
+                        (d, n * cfg.d_v), (n * cfg.d_v, d),      # W_v, W_out
+                        (d, ff), (ff, d)):                       # ffn
+        maps.append(("backbone", tokens, n_in, n_out, lyr))
+    if mechanism == "mica":
+        maps += [("gate", tokens, a, b, lyr) for a, b in cfg.mica.gate_layers]
+        if cfg.mica.weight_mode == "dynamic":                    # weight_proj
+            maps.append(("global", c * n, cfg.d_k, 1, lyr))
+    if cfg.head_kind == "multivariate":
+        maps.append(("backbone", 1, p * d, cfg.horizon, c))
+    else:
+        maps.append(("backbone", c, p * d, cfg.horizon, 1))
+    return maps
 
 
 def count_flops(cfg: ModelConfig, n_channels: int,
                 mechanism: str) -> FlopReport:
     """Exact analytic FLOPs of one forward pass on a single window."""
-    _check_costed(cfg, n_channels, mechanism)
+    parts = Counter()
+    for part, rows, n_in, n_out, copies in _affine_maps(cfg, n_channels,
+                                                        mechanism):
+        parts[part] += copies * rows * (2 * n_in * n_out + n_out)
     c = n_channels
     p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
-    d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
+    d, n, lyr = cfg.d_model, cfg.n_heads, cfg.n_layers
     dk, dv = cfg.d_k, cfg.d_v
     tokens = c * p
 
-    backbone = 0
     # standardize: mean L + center L + std (square L + sum L + sqrt 1) + div L
-    backbone += c * (5 * cfg.input_size + 1)
-    backbone += _linear_flops(tokens, cfg.patch_len, d)          # embed
+    backbone = parts["backbone"] + c * (5 * cfg.input_size + 1)
     backbone += tokens * d                                       # + posenc
-    per_layer_backbone = (
-        3 * _linear_flops(tokens, d, n * dk)                     # q,k,v
-        + _linear_flops(tokens, n * dv, d)                       # out proj
-        + 2 * tokens * d                                         # residuals
-        + 2 * tokens * _ln_flops(d)
-        + _linear_flops(tokens, d, ff) + tokens * ff             # ffn up+gelu
-        + _linear_flops(tokens, ff, d))
-    backbone += lyr * per_layer_backbone
-    backbone += _linear_flops(c, p * d, cfg.horizon)             # head
+    backbone += lyr * tokens * (2 * d + 2 * (5 * d + 4)          # residuals,
+                                + cfg.ff_hidden)                 # norms, gelu
     backbone += 2 * c * cfg.horizon                              # destandardize
 
-    local = global_ = gate = 0
-    if mechanism in ("baseline", "mica"):
-        rows = c * n * p
-        local = lyr * (rows * 2 * p * dk + rows * p +            # scores+scale
-                       _softmax_flops(rows, p) +
-                       rows * 2 * p * dv)                        # @ values
-    else:  # concat: every channel attends over all C*P tokens
-        rows = n * tokens
-        local = lyr * (rows * 2 * tokens * dk + rows * tokens +
-                       _softmax_flops(rows, tokens) +
-                       rows * 2 * tokens * dv)
+    # N*C*P query rows, each over its channel's P keys, or all C*P (concat)
+    rows, keys = n * tokens, tokens if mechanism == "concat" else p
+    local = lyr * rows * (2 * keys * dk + keys                   # scores+scale
+                          + 5 * keys + 2 * keys * dv)            # softmax, @ V
 
+    global_ = gate = 0
     if mechanism == "mica":
         m = cfg.mica
         per_layer_global = (
@@ -138,20 +138,17 @@ def count_flops(cfg: ModelConfig, n_channels: int,
             per_layer_global += c * n * (dk * dv + dk)
         elif m.weight_mode == "dynamic":
             per_layer_global += (c * n * p * dk             # pool queries
-                                 + c * n * (2 * dk + 1)     # project
                                  + c * n * (dk * dv + dk))  # apply
         if m.exclusion:
             per_layer_global += c * n * (dk * dv + dk)
-        global_ = lyr * per_layer_global
+        global_ = parts["global"] + lyr * per_layer_global
 
         mix_cost = 4 * c * n * p * dv
-        if m.gate_layers:
-            per_token = sum(_linear_flops(1, a, b) + b             # + act
-                            for a, b in m.gate_layers)
-            gate = lyr * (tokens * per_token + mix_cost)
+        if m.gate_layers:                       # an activation per output
+            per_layer_gate = tokens * sum(b for _, b in m.gate_layers)
         else:
-            n_beta = n * (c if m.channelwise else 1)
-            gate = lyr * (n_beta + mix_cost)
+            per_layer_gate = n * (c if m.channelwise else 1)
+        gate = parts["gate"] + lyr * (per_layer_gate + mix_cost)
 
     return FlopReport(mechanism=mechanism, n_channels=c, local_flops=local,
                       global_flops=global_, gate_flops=gate,
@@ -160,34 +157,17 @@ def count_flops(cfg: ModelConfig, n_channels: int,
 
 def count_params(cfg: ModelConfig, n_channels: int, mechanism: str) -> int:
     """Closed-form parameter count; must match the instantiated model."""
-    _check_costed(cfg, n_channels, mechanism)
-    c = n_channels
-    p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
-    d, ff, n, lyr = cfg.d_model, cfg.ff_hidden, cfg.n_heads, cfg.n_layers
-    dk, dv = cfg.d_k, cfg.d_v
-
-    total = cfg.patch_len * d + d                                # embed
-    per_layer = (3 * (d * n * dk + n * dk)                       # q,k,v
-                 + n * dv * d + d                                # out proj
-                 + 2 * 2 * d                                     # layer norms
-                 + d * ff + ff + ff * d + d)                     # ffn
-    total += lyr * per_layer
-    if cfg.head_kind == "multivariate":
-        total += c * (p * d * cfg.horizon + cfg.horizon)
-    else:
-        total += p * d * cfg.horizon + cfg.horizon
-
+    total = sum(copies * (n_in * n_out + n_out) for _, _, n_in, n_out, copies
+                in _affine_maps(cfg, n_channels, mechanism))
+    total += cfg.n_layers * 2 * 2 * cfg.d_model                  # layer norms
     if mechanism == "mica":
         m = cfg.mica
-        if m.gate_layers:
-            total += lyr * sum(a * b + b for a, b in m.gate_layers)
-        else:
-            total += (n * (lyr if m.layerwise else 1)
-                      * (c if m.channelwise else 1))
+        if not m.gate_layers:                   # beta: one per gate object
+            n_gates = cfg.n_layers if m.layerwise else min(cfg.n_layers, 1)
+            total += (m.n_heads * n_gates
+                      * (n_channels if m.channelwise else 1))
         if m.weight_mode == "static":
-            total += lyr * c
-        elif m.weight_mode == "dynamic":
-            total += lyr * (dk + 1)
+            total += cfg.n_layers * n_channels
     return total
 
 

@@ -10,7 +10,7 @@ import pytest
 import mica
 from mica import bench
 from mica.attention import MicaConfig
-from mica.backbone import ForecastModel, ModelConfig
+from mica.backbone import ForecastModel, ModelConfig, patch_count
 from mica.bench import (FlopReport, LatencyStats, BenchRow, blas_threads,
                         check_fit_sizes, count_flops, count_params,
                         fit_scaling, measure_latency, one_blas_thread,
@@ -19,12 +19,12 @@ from mica.tensor import no_grad
 
 
 def cfg_with(gate="shared_beta", weight_mode="uniform", exclusion=False,
-             head_kind="shared_linear", mica=True):
-    m = MicaConfig(n_heads=2, d_k=4, d_v=4, gate=gate, mlp_hidden=8,
+             head_kind="shared_linear", mica=True, d_k=4, d_v=4, n_layers=2):
+    m = MicaConfig(n_heads=2, d_k=d_k, d_v=d_v, gate=gate, mlp_hidden=8,
                    mlp_layers=3, weight_mode=weight_mode,
                    exclusion=exclusion) if mica else None
-    return ModelConfig(horizon=4, input_size=16, n_layers=2, d_model=8,
-                       n_heads=2, ff_hidden=16, d_k=4, d_v=4, patch_len=4,
+    return ModelConfig(horizon=4, input_size=16, n_layers=n_layers, d_model=8,
+                       n_heads=2, ff_hidden=16, d_k=d_k, d_v=d_v, patch_len=4,
                        stride=4, head_kind=head_kind, mica=m)
 
 
@@ -49,6 +49,21 @@ THIN = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
     (dict(gate="mlp", exclusion=True), "mica"),
     (dict(mica=False), "concat"),
     (dict(mica=False, head_kind="multivariate"), "concat"),
+    # value width apart from key width, both ways: W_v and W_out are
+    # n_heads * d_v wide, and an mlp_query gate reads 2 * d_v + d_k
+    (dict(mica=False, d_k=8, d_v=4), "baseline"),
+    (dict(mica=False, d_k=4, d_v=8), "concat"),
+    (dict(d_k=8, d_v=4), "mica"),
+    (dict(d_k=4, d_v=8, gate="channelwise_beta"), "mica"),
+    (dict(d_k=8, d_v=4, gate="mlp_query"), "mica"),
+    (dict(d_k=4, d_v=8, gate="mlp_query"), "mica"),
+    (dict(d_k=8, d_v=4, weight_mode="static"), "mica"),
+    (dict(d_k=4, d_v=8, weight_mode="dynamic", exclusion=True), "mica"),
+    (dict(d_k=8, d_v=4, head_kind="multivariate"), "mica"),
+    (dict(d_k=4, d_v=8, head_kind="multivariate", mica=False), "baseline"),
+    # no layer builds no gate, shared or not
+    (dict(n_layers=0), "mica"),
+    (dict(n_layers=0, gate="channelwise_beta"), "mica"),
 ])
 def test_count_params_matches_instantiated_model(kwargs, mech):
     cfg = cfg_with(**kwargs)
@@ -84,6 +99,40 @@ def test_flop_report_parts_and_zeroes():
     concat = count_flops(cfg, 4, "concat")
     assert concat.global_flops == 0 and concat.gate_flops == 0
     assert concat.local_flops > base.local_flops
+
+
+@pytest.mark.parametrize("mech", ["baseline", "mica"])
+@pytest.mark.parametrize("d_k,d_v", [(8, 4), (4, 8), (8, 12)])
+def test_value_width_costs_the_value_and_output_projections(mech, d_k, d_v):
+    # W_v (d_model -> N*d_v) and W_out (N*d_v -> d_model) on every token of
+    # every layer: (2*d*N + N) + 2*N*d FLOPs per token and unit of d_v
+    c = 3
+    cfg, same = cfg_with(d_k=d_k, d_v=d_v), cfg_with(d_k=d_k, d_v=d_k)
+    p = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
+    d, n = cfg.d_model, cfg.n_heads
+    grown = (count_flops(cfg, c, mech).backbone_flops
+             - count_flops(same, c, mech).backbone_flops)
+    assert grown == cfg.n_layers * c * p * (4 * d * n + n) * (d_v - d_k)
+
+
+def test_channel_weights_and_exclusion_flops():
+    # each increment of the global path over uniform weights, no exclusion
+    c, dk, dv = 5, 4, 8
+    uniform = cfg_with(d_k=dk, d_v=dv)
+    lyr, n = uniform.n_layers, uniform.n_heads
+    p = patch_count(uniform.input_size, uniform.patch_len, uniform.stride)
+    base = count_flops(uniform, c, "mica").global_flops
+
+    def extra(**kw):
+        return count_flops(cfg_with(d_k=dk, d_v=dv, **kw), c,
+                           "mica").global_flops - base
+
+    apply_weights = lyr * c * n * (dk * dv + dk)
+    assert extra(weight_mode="static") == apply_weights
+    assert extra(exclusion=True) == apply_weights
+    # pool the queries, project them to one weight, apply it
+    assert extra(weight_mode="dynamic") == lyr * c * n * (
+        p * dk + 2 * dk + 1 + dk * dv + dk)
 
 
 def test_mica_flops_exactly_affine_in_channels():

@@ -611,6 +611,30 @@ def test_bench_writes_rows_and_fits(workspace, capsys):
     assert "flop exponent" in capsys.readouterr().out
 
 
+def test_bench_sweeps_lengths_with_latency_fits(workspace, capsys):
+    tmp, conf = workspace
+    bench_conf = tmp / "len.conf"
+    bench_conf.write_text(
+        "model.horizon = 4\nmodel.n_layers = 1\nmodel.d_model = 8\n"
+        "model.n_heads = 2\nmodel.ff_hidden = 16\nmodel.d_k = 4\n"
+        "model.d_v = 4\nmodel.patch_len = 4\nmodel.stride = 4\n"
+        "model.mica = true\nbench.sweep = L\nbench.grid = 16,32,64,128\n"
+        "bench.measure = true\nbench.repeats = 1\nbench.warmup = 0\n")
+    out = tmp / "len_out"
+    assert main(["bench", "--config", str(bench_conf),
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "bench.csv")))
+    mechanisms = ["baseline", "mica", "concat"]
+    assert [(r["mechanism"], int(r["size"])) for r in rows] == [
+        (mech, size) for mech in mechanisms for size in (16, 32, 64, 128)]
+    assert all(float(r["latency_ms"]) > 0 for r in rows)
+    fits = list(csv.DictReader(open(out / "bench_fits.csv")))
+    assert [(f["mechanism"], f["metric"]) for f in fits] == [
+        (mech, metric) for mech in mechanisms
+        for metric in ("flops", "latency")]
+    assert "latency exponent" in capsys.readouterr().out
+
+
 def test_bench_rejects_mica_mechanism_without_mica(workspace, capsys):
     tmp, conf = workspace
     bench_conf = tmp / "b.conf"

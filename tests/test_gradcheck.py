@@ -34,6 +34,15 @@ def test_gradcheck_leaves_a_callers_grad_alone():
     np.testing.assert_array_equal(kept, np.full(3, 7.0))
 
 
+def test_gradcheck_refuses_an_input_that_needs_no_gradient():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    frozen = Tensor(np.array([2.0, 3.0]))
+    with pytest.raises(ValueError, match="'frozen' has requires_grad=False"):
+        gradcheck(lambda: (x * frozen).sum(), {"x": x, "frozen": frozen})
+    with pytest.raises(ValueError, match="'input1' has requires_grad=False"):
+        gradcheck(lambda: (x * frozen).sum(), [x, frozen])
+
+
 def test_gradcheck_catches_wrong_gradient():
     # sabotage: a detached reuse makes the tape gradient wrong on purpose
     x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
