@@ -264,21 +264,21 @@ class ScalingFit:
     r2: float
 
 
-def check_fit_sizes(sizes) -> None:
-    """Raise ``ValueError`` unless a sweep over ``sizes`` can be fitted:
-    called by ``fit_scaling``, and by ``mica bench`` before it sweeps."""
+def check_fit_sizes(sizes) -> np.ndarray:
+    """``sizes`` as float64, or a ``ValueError`` unless a sweep over them
+    can be fitted; called by ``fit_scaling`` and by ``mica bench``."""
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.size < 4:
         raise ValueError("need at least 4 sweep points for a scaling fit")
     if not np.all(np.diff(sizes) > 0):  # NaN too
         raise ValueError("sweep sizes must be strictly increasing")
-    if not np.all(sizes > 0):
-        raise ValueError("sweep sizes must be positive")
+    if not np.all((sizes > 0) & (sizes < np.inf)):
+        raise ValueError("sweep sizes must be positive and finite")
+    return sizes
 
 
 def fit_scaling(sizes, costs) -> ScalingFit:
-    check_fit_sizes(sizes)
-    sizes = np.asarray(sizes, dtype=np.float64)
+    sizes = check_fit_sizes(sizes)
     costs = np.asarray(costs, dtype=np.float64)
     if not np.all((costs > 0) & (costs < np.inf)):  # NaN too
         raise ValueError("costs must be positive and finite")

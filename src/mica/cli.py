@@ -42,20 +42,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    """Comma-separated items, none for a blank value; no empty item."""
+    items = tuple(map(str.strip, text.split(","))) if text.strip() else ()
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return items
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(map(int, _parse_str_list(text)))
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    if ".." not in text:
+        return _parse_int_list(text)
+    lo, hi = map(int, text.split("..", 1))
+    if hi < lo:
+        raise ValueError(f"seed range {text!r} runs backwards")
+    return tuple(range(lo, hi + 1))
 
 
 # key -> (parser, help) for model.* and train.* keys, which default to their
@@ -430,15 +435,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except IntegrityError as err:
+    except (ValueError, RuntimeError, OSError, NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError, NonFiniteError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return (3 if isinstance(err, IntegrityError)
+                else 2 if isinstance(err, ValueError) else 1)
 
 
 if __name__ == "__main__":

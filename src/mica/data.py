@@ -22,7 +22,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +89,13 @@ def _parse_timestamp(text: str, path, line_no: int) -> float:
         stamp = float(text)
     except ValueError:
         try:
-            stamp = datetime.fromisoformat(text).timestamp()
+            parsed = datetime.fromisoformat(text)
         except ValueError:
             raise ConfigError(f"{path}:{line_no}: cannot parse timestamp "
                               f"{text!r}") from None
+        if parsed.tzinfo is None:  # UTC, not the host's zone
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        stamp = parsed.timestamp()
     if not np.isfinite(stamp):
         raise ConfigError(f"{path}:{line_no}: timestamp {text!r} is not "
                           "finite")
@@ -167,15 +170,13 @@ def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
         c, t = np.argwhere(mask)[0]
         raise ConfigError(f"{path}: missing value for channel index {c} at "
                           f"time index {t} (enable forward_fill to impute)")
-    for ci in range(values.shape[0]):
-        row = values[ci]
-        bad = np.isnan(row)
-        if bad[0]:
-            raise ConfigError(f"{path}: channel index {ci} starts with a "
-                              "missing value; cannot forward-fill")
-        idx = np.where(~bad, np.arange(row.size), 0)
-        np.maximum.accumulate(idx, out=idx)
-        values[ci] = row[idx]
+    if mask[:, 0].any():
+        raise ConfigError(f"{path}: channel index {np.argmax(mask[:, 0])} "
+                          "starts with a missing value; cannot forward-fill")
+    # in place, keeping the panel's memory order (pca_fit's bits follow it)
+    idx = np.maximum.accumulate(np.where(mask, 0, np.arange(mask.shape[1])),
+                                axis=1)
+    values[...] = np.take_along_axis(values, idx, axis=1)
     return values
 
 
@@ -232,8 +233,9 @@ def load_csv(path, layout: str = "wide",
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
     every channel must cover the identical time grid.  Channel ids must be
     non-empty, and distinct in a wide header.  Timestamps are numbers or
-    ISO dates, and must be finite.  A value is a number, never infinite,
-    or ``NA``, ``nan`` or an empty cell for a missing one.
+    ISO dates (UTC unless they carry an offset), and must be finite.  A
+    value is a number, never infinite, or ``NA``, ``nan`` or an empty cell
+    for a missing one.
 
     Blank lines are skipped, and errors name the physical ``path:line``.
     Of several faults, the one on the earliest line is reported, except
@@ -400,13 +402,11 @@ def gen_leadlag(n_channels: int, n_steps: int, lag: int, noise_sigma: float,
     driver = _ar1(rng.normal(0.0, 1.0, size=total), 0.9)
     driver += np.sin(2 * np.pi * np.arange(total) / 24)
     offset = burn + (n_channels - 1) * lag
-    values = np.empty((n_channels, n_steps))
-    values[0] = driver[offset:offset + n_steps]
-    for c in range(1, n_channels):
-        start = offset - c * lag
-        values[c] = driver[start:start + n_steps]
-        if noise_sigma > 0:
-            values[c] += rng.normal(0.0, noise_sigma, size=n_steps)
+    starts = offset - lag * np.arange(n_channels)
+    values = driver[starts[:, None] + np.arange(n_steps)]
+    if noise_sigma > 0:
+        values[1:] += rng.normal(0.0, noise_sigma,
+                                 size=(n_channels - 1, n_steps))
     ids = [f"ch{c}" for c in range(n_channels)]
     return PanelDataset(values=values, channel_ids=ids)
 
@@ -418,9 +418,7 @@ def gen_independent(n_channels: int, n_steps: int, seed: int) -> PanelDataset:
         raise ConfigError("n_channels and n_steps must be positive")
     rng = np.random.default_rng(seed)
     burn = 100
-    values = np.empty((n_channels, n_steps))
-    for c in range(n_channels):
-        series = _ar1(rng.normal(0.0, 1.0, size=n_steps + burn), 0.8)
-        values[c] = series[burn:]
+    innovations = rng.normal(0.0, 1.0, size=(n_channels, n_steps + burn))
+    values = np.array([_ar1(row, 0.8)[burn:] for row in innovations])
     ids = [f"ch{c}" for c in range(n_channels)]
     return PanelDataset(values=values, channel_ids=ids)

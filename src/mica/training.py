@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .backbone import ForecastModel
 from .bench import one_blas_thread, usable_cpus
@@ -147,10 +148,11 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def _slice_windows(values: np.ndarray, starts: np.ndarray, input_size: int,
                    horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    ctx = np.stack([values[:, s:s + input_size] for s in starts])
-    tgt = np.stack([values[:, s + input_size:s + input_size + horizon]
-                    for s in starts])
-    return ctx, tgt
+    # a fancy index keeps each window in the panel's memory order, as
+    # np.stack did: standardize's sums over time depend on it
+    ctx = sliding_window_view(values, input_size, axis=1)
+    tgt = sliding_window_view(values[:, input_size:], horizon, axis=1)
+    return ctx.swapaxes(0, 1)[starts], tgt.swapaxes(0, 1)[starts]
 
 
 def sample_windows(panel: PanelDataset, input_size: int, horizon: int,
@@ -180,17 +182,12 @@ def eval_windows(panel: PanelDataset, input_size: int, horizon: int,
         lo, hi = panel.val_end, panel.n_steps
     else:
         raise ConfigError(f"unknown split '{split}'")
-    starts = []
-    end = hi
-    while end - horizon >= lo and end - horizon - input_size >= 0:
-        starts.append(end - horizon - input_size)
-        end -= horizon
-    if not starts:
+    starts = np.arange(hi - horizon - input_size,
+                       max(lo - input_size, 0) - 1, -horizon)[::-1]
+    if not starts.size:
         raise ConfigError(
             f"{split} split [{lo}, {hi}) too short for horizon {horizon}")
-    starts.reverse()
-    return _slice_windows(panel.values, np.asarray(starts), input_size,
-                          horizon)
+    return _slice_windows(panel.values, starts, input_size, horizon)
 
 
 # -- training loop ------------------------------------------------------------------

@@ -338,7 +338,8 @@ def test_fit_sizes_are_checked_by_one_function(sizes):
     with pytest.raises(ValueError) as fitted:
         fit_scaling(sizes, [1.0] * len(sizes))
     assert str(fitted.value) == str(direct.value)
-    check_fit_sizes((8, 16, 32, 64))
+    checked = check_fit_sizes((8, 16, 32, 64))
+    assert checked.dtype == np.float64 and checked.tolist() == [8, 16, 32, 64]
 
 
 def test_fit_scaling_validation():
@@ -354,6 +355,10 @@ def test_fit_scaling_validation():
             fit_scaling([1, 2, 3, 4], [1, cost, 3, 4])
     with pytest.raises(ValueError, match="strictly increasing"):
         fit_scaling([1, 2, np.nan, 4], [1, 2, 3, 4])
+    # an infinite size used to pass the check and fail inside LAPACK
+    with pytest.raises(ValueError, match="sweep sizes must be positive and "
+                                         "finite"):
+        fit_scaling([1, 2, 3, np.inf], [1, 2, 3, 4])
 
 
 # -- sweeps ------------------------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_exit_code_unknown_key(workspace, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, text, value", [
+    ("train.seeds", "1..3", (1, 2, 3)), ("train.seeds", "4..4", (4,)),
+    ("train.seeds", "1,7,13", (1, 7, 13)),
+    ("bench.grid", "8,16,32,64", (8, 16, 32, 64)),
+    ("bench.grid", "8 , 16", (8, 16)),
+    ("bench.mechanisms", "baseline, mica", ("baseline", "mica")),
+    ("bench.mechanisms", "", ())])
+def test_list_values_parse(tmp_path, key, text, value):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{key} = {text}\n")
+    assert parse_config(conf)[key] == value
+
+
 def test_exit_code_missing_dataset(tmp_path, capsys):
     conf = tmp_path / "c.conf"
     conf.write_text("model.horizon = 4\ndata.path = missing.csv\n"
@@ -208,8 +221,21 @@ def test_exit_code_missing_dataset(tmp_path, capsys):
      "bench.sweep must be C or L, got 'T'"),
     ("flops", "model.horizon = 4\nmodel.mica = true\nmodel.gate = mlp\n"
      "model.mlp_hidden = 0\n", "mlp_hidden must be >= 1, got 0"),
+    ("bench", "model.horizon = 4\nbench.grid = 8,,16,32,64\n",
+     "c.conf:2: bad value for 'bench.grid': empty item in '8,,16,32,64'"),
+    ("bench", "model.horizon = 4\nbench.grid = 8,16,32,64,\n",
+     "c.conf:2: bad value for 'bench.grid': empty item in '8,16,32,64,'"),
+    ("bench", "model.horizon = 4\nbench.mechanisms = baseline,\n",
+     "c.conf:2: bad value for 'bench.mechanisms': empty item in "
+     "'baseline,'"),
+    ("train", "model.horizon = 4\ntrain.seeds = 1,,2\n",
+     "c.conf:2: bad value for 'train.seeds': empty item in '1,,2'"),
+    ("train", "model.horizon = 4\ntrain.seeds = 3..1\n",
+     "c.conf:2: bad value for 'train.seeds': seed range '3..1' runs "
+     "backwards"),
 ], ids=["no_file", "no_equals", "no_horizon", "no_data", "bool", "sweep",
-        "mlp_hidden"])
+        "mlp_hidden", "grid_empty_item", "grid_trailing_comma",
+        "mechanisms_trailing_comma", "seeds_empty_item", "seeds_backwards"])
 def test_config_rejections_exit_2_and_say_why(tmp_path, capsys, cmd, text,
                                               message):
     conf = tmp_path / "c.conf"

@@ -1,5 +1,6 @@
 import csv
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -239,6 +240,45 @@ def test_iso_timestamps_parse_as_per_cell(tmp_path, layout, last):
     path = tmp_path / "iso.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     assert_same_outcome(path, layout)
+
+
+@pytest.fixture
+def set_host_zone(monkeypatch):
+    """A setter of the process's local time zone (``TZ``), restored after
+    the test."""
+    if not hasattr(time, "tzset"):
+        pytest.skip("time.tzset is not available on this platform")
+
+    def set_zone(zone):
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+@pytest.mark.parametrize("cell", ["3.0", "NA"],
+                         ids=["clean_pass", "cell_reader"])
+def test_naive_iso_timestamps_are_utc_in_any_host_zone(tmp_path,
+                                                       set_host_zone, cell):
+    # 02:00-03:00 on 2024-03-10 does not exist in New York's local time,
+    # so read as local time these stamps are not evenly spaced
+    path = tmp_path / "dst.csv"
+    path.write_text("timestamp,x\n" + "".join(
+        f"2024-03-10T0{h}:00:00,{cell if h == 3 else float(h)}\n"
+        for h in range(6)))
+    loaded = []
+    for zone in ("America/New_York", "UTC"):
+        set_host_zone(zone)
+        loaded.append(load_csv(path, forward_fill=True).values)
+    assert loaded[0].tobytes() == loaded[1].tobytes()
+
+
+def test_an_explicit_offset_keeps_its_meaning():
+    utc = _parse_timestamp("2024-03-10T05:00:00", "p", 1)
+    assert _parse_timestamp("2024-03-10T00:00:00-05:00", "p", 1) == utc
+    assert _parse_timestamp("2024-03-10T05:00:00+00:00", "p", 1) == utc
 
 
 def cell_reader_outcome(path, forward_fill, monkeypatch):
@@ -507,6 +547,126 @@ def test_ar1_matches_the_loop_bit_for_bit():
             acc = coeff * acc + e
             want[t] = acc
         assert _ar1(innovations, coeff).tobytes() == want.tobytes()
+
+
+def same_bits(got, want):
+    return ((got.tobytes(), got.dtype, got.strides)
+            == (want.tobytes(), want.dtype, want.strides))
+
+
+def loop_leadlag(n_channels, n_steps, lag, noise_sigma, seed):
+    # gen_leadlag as its per-channel loop wrote it
+    rng = np.random.default_rng(seed)
+    burn = 100
+    total = n_steps + (n_channels - 1) * lag + burn
+    driver = _ar1(rng.normal(0.0, 1.0, size=total), 0.9)
+    driver += np.sin(2 * np.pi * np.arange(total) / 24)
+    offset = burn + (n_channels - 1) * lag
+    values = np.empty((n_channels, n_steps))
+    values[0] = driver[offset:offset + n_steps]
+    for c in range(1, n_channels):
+        start = offset - c * lag
+        values[c] = driver[start:start + n_steps]
+        if noise_sigma > 0:
+            values[c] += rng.normal(0.0, noise_sigma, size=n_steps)
+    return values
+
+
+def loop_independent(n_channels, n_steps, seed):
+    # gen_independent as its per-channel loop wrote it
+    rng = np.random.default_rng(seed)
+    burn = 100
+    values = np.empty((n_channels, n_steps))
+    for c in range(n_channels):
+        series = _ar1(rng.normal(0.0, 1.0, size=n_steps + burn), 0.8)
+        values[c] = series[burn:]
+    return values
+
+
+@pytest.mark.parametrize("args", [
+    (7, 600, 4, 0.1, 20260417), (2, 50, 1, 0.0, 0), (2, 10, 20, 0.2, 3),
+    (3, 200, 5, 0.5, 1), (8, 1000, 3, 1.0, 7), (4, 1, 2, 0.0, 11)],
+    ids=str)
+def test_leadlag_matches_the_loop_bit_for_bit(args):
+    assert same_bits(gen_leadlag(*args).values, loop_leadlag(*args))
+
+
+@pytest.mark.parametrize("args", [(1, 50, 0), (2, 300, 1),
+                                  (7, 1200, 20260417), (5, 1, 3)], ids=str)
+def test_independent_matches_the_loop_bit_for_bit(args):
+    assert same_bits(gen_independent(*args).values, loop_independent(*args))
+
+
+def loop_fill(values, path):
+    # _fill_or_reject's forward fill as its per-channel loop wrote it
+    for ci in range(values.shape[0]):
+        row = values[ci]
+        bad = np.isnan(row)
+        if bad[0]:
+            raise ConfigError(f"{path}: channel index {ci} starts with a "
+                              "missing value; cannot forward-fill")
+        idx = np.where(~bad, np.arange(row.size), 0)
+        np.maximum.accumulate(idx, out=idx)
+        values[ci] = row[idx]
+    return values
+
+
+def gappy(c, t, share, seed, first_missing=()):
+    """A (C, T) panel with about ``share`` of its cells missing, none in
+    the first column but those of ``first_missing``."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(c, t))
+    missing = rng.random((c, t)) < share
+    missing[:, 0] = False
+    missing[list(first_missing), 0] = True
+    values[missing] = np.nan
+    return values
+
+
+def write_gappy(values, path, layout):
+    cell = [["NA" if np.isnan(v) else repr(v) for v in row]
+            for row in values.tolist()]
+    if layout == "wide":
+        lines = ["timestamp," + ",".join(f"c{i}" for i in range(len(cell)))]
+        lines += [f"{t}," + ",".join(col) for t, col in enumerate(zip(*cell))]
+    else:
+        lines = ["id,ts,value"] + [f"c{i},{t},{v}"
+                                   for i, row in enumerate(cell)
+                                   for t, v in enumerate(row)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+@pytest.mark.parametrize("c, t, share, seed", [
+    (3, 50, 0.3, 0), (7, 400, 0.05, 1), (1, 20, 0.5, 2), (4, 30, 0.9, 3)])
+def test_forward_fill_matches_the_loop_bit_for_bit(tmp_path, layout, c, t,
+                                                   share, seed):
+    raw = gappy(c, t, share, seed)
+    path = tmp_path / "gappy.csv"
+    write_gappy(raw, path, layout)
+    # the cell reader's memory order: Fortran for wide, C for long
+    order = "F" if layout == "wide" else "C"
+    want = loop_fill(np.array(raw, order=order), path)
+    got = load_csv(path, layout, forward_fill=True).values
+    assert same_bits(got, want)
+    for order in "CF":
+        assert same_bits(_fill_or_reject(np.array(raw, order=order), True,
+                                         path),
+                         loop_fill(np.array(raw, order=order), path))
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_forward_fill_refuses_the_first_channel_the_loop_refused(tmp_path,
+                                                                 layout):
+    raw = gappy(6, 30, 0.2, 4, first_missing=(2, 4))
+    path = tmp_path / "gappy.csv"
+    write_gappy(raw, path, layout)
+    with pytest.raises(ConfigError) as want:
+        loop_fill(raw.copy(), path)
+    with pytest.raises(ConfigError) as got:
+        load_csv(path, layout, forward_fill=True)
+    assert str(got.value) == str(want.value)
+    assert "channel index 2 starts with a missing value" in str(got.value)
 
 
 def test_independent_channels_are_uncorrelated():

@@ -129,6 +129,63 @@ def test_eval_windows_tile_from_split_end():
         eval_windows(panel, 10, 40, "val")
 
 
+def stack_windows(values, starts, input_size, horizon):
+    # _slice_windows as its per-window loop wrote it
+    ctx = np.stack([values[:, s:s + input_size] for s in starts])
+    tgt = np.stack([values[:, s + input_size:s + input_size + horizon]
+                    for s in starts])
+    return ctx, tgt
+
+
+def loop_eval_starts(lo, hi, input_size, horizon):
+    # eval_windows' starts as its walk back from the split's end found them
+    starts, end = [], hi
+    while end - horizon >= lo and end - horizon - input_size >= 0:
+        starts.append(end - horizon - input_size)
+        end -= horizon
+    return starts[::-1]
+
+
+def same_windows(got, want):
+    return all((g.tobytes(), g.dtype, g.strides)
+               == (w.tobytes(), w.dtype, w.strides)
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_windows_match_the_stack_bit_for_bit(order, batch):
+    values = np.array(gen_leadlag(7, 600, 4, 0.1, 3).values, order=order)
+    starts = np.random.default_rng(batch).integers(0, 600 - 36 + 1, batch)
+    got = training._slice_windows(values, starts, 24, 12)
+    assert same_windows(got, stack_windows(values, starts, 24, 12))
+    # a C panel gives C-contiguous windows; a wide file's Fortran-ordered
+    # panel gives time-major ones, as np.stack of its slices did
+    assert all(w.flags.c_contiguous == (order == "C") for w in got)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("split", ["val", "test"])
+@pytest.mark.parametrize("input_size, horizon", [
+    (10, 5), (7, 13), (60, 15), (90, 5), (10, 16), (96, 5)])
+def test_eval_windows_match_the_loop_bit_for_bit(order, split, input_size,
+                                                 horizon):
+    values = np.array(np.random.default_rng(1).normal(size=(3, 100)),
+                      order=order)
+    panel = chrono_split(PanelDataset(values, ["a", "b", "c"]), 15, 15)
+    lo, hi = (70, 85) if split == "val" else (85, 100)
+    starts = loop_eval_starts(lo, hi, input_size, horizon)
+    if not starts:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{split} split [{lo}, {hi}) too short for horizon "
+                f"{horizon}")):
+            eval_windows(panel, input_size, horizon, split)
+        return
+    got = eval_windows(panel, input_size, horizon, split)
+    assert same_windows(got, stack_windows(panel.values, starts, input_size,
+                                           horizon))
+
+
 def test_train_smoke_and_best_restore():
     model = tiny_model()
     panel = tiny_panel()
