@@ -1,10 +1,10 @@
 """Panel dataset loading, splitting, PCA rotation, and synthetic generators.
 
-A panel is a dense (C, T) float64 matrix: C named channels sampled on a
-shared, evenly spaced time grid.  Chronological splits are stored as two
-boundary indices on the dataset itself so every consumer slices the same
-way: train [0, train_end), validation [train_end, val_end), test
-[val_end, T).
+A panel is a dense (C, T) float64 matrix of C named channels on a shared,
+evenly spaced time grid, C-ordered from any source, so the same values
+give the same bits from a wide CSV, a long CSV or a generator.  Splits are
+two boundary indices on the dataset, so every consumer slices alike:
+train [0, train_end), validation [train_end, val_end), test [val_end, T).
 
 A wide CSV file of plain finite numbers (numeric or ISO timestamps) is
 read in one ``np.loadtxt`` pass; every other file by the cell reader,
@@ -40,12 +40,17 @@ class PanelDataset:
     val_end: int | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=np.float64, order="C")
         if self.values.ndim != 2:
             raise ConfigError(f"panel values must be (C,T), "
                               f"got shape {self.values.shape}")
         if len(self.channel_ids) != self.values.shape[0]:
             raise ConfigError("channel id count does not match value rows")
+        _channel_ids(self.channel_ids)
+        if (self.train_end is None) != (self.val_end is None):
+            raise ConfigError(f"set both split bounds or neither, got "
+                              f"train_end={self.train_end}, "
+                              f"val_end={self.val_end}")
         if self.train_end is not None:
             t = self.values.shape[1]
             if not (0 < self.train_end < self.val_end <= t):
@@ -173,21 +178,20 @@ def _fill_or_reject(values: np.ndarray, forward_fill: bool, path) -> np.ndarray:
     if mask[:, 0].any():
         raise ConfigError(f"{path}: channel index {np.argmax(mask[:, 0])} "
                           "starts with a missing value; cannot forward-fill")
-    # in place, keeping the panel's memory order (pca_fit's bits follow it)
     idx = np.maximum.accumulate(np.where(mask, 0, np.arange(mask.shape[1])),
                                 axis=1)
-    values[...] = np.take_along_axis(values, idx, axis=1)
-    return values
+    return np.take_along_axis(values, idx, axis=1)
 
 
-def _channel_ids(header, path, line_no) -> list[str]:
-    """A wide header's channel ids, each non-empty and named once, so that
-    every row of a forecast names one channel."""
-    ids = [h.strip() for h in header[1:]]
+def _channel_ids(ids, where: str = "") -> list[str]:
+    """``ids`` stripped, each non-empty and named once, so that every row
+    of a forecast names one channel and ``load_csv`` takes every header
+    ``write_csv`` writes.  ``where`` (``path:line: ``) leads the error."""
+    ids = [cid.strip() for cid in ids]
     seen = set()
     for cid in ids:
         if not cid or cid in seen:
-            raise ConfigError(f"{path}:{line_no}: channel id {cid!r} is "
+            raise ConfigError(f"{where}channel id {cid!r} is "
                               + ("named twice" if cid else "empty"))
         seen.add(cid)
     return ids
@@ -204,13 +208,13 @@ def _load_clean_wide(path) -> PanelDataset:
         header = next(reader, [])
         if len(header) < 2:
             raise ValueError("no channel columns")
-        channel_ids = _channel_ids(header, path, reader.line_num)
+        channel_ids = _channel_ids(header[1:], f"{path}:{reader.line_num}: ")
         with warnings.catch_warnings():  # an empty body only warns
             warnings.simplefilter("ignore")
             table = np.loadtxt(fh, np.dtype("O" + ",f8" * (len(header) - 1)),
                                comments=None, delimiter=",", ndmin=1)
     stamp, *channels = table.dtype.names
-    values = np.array([table[name] for name in channels], order="F")
+    values = np.array([table[name] for name in channels])
     if not (len(table) and np.isfinite(values).all()):
         raise ValueError("no rows, or a non-finite value")
     _check_time_grid(_parse_column(table[stamp], _parse_timestamp, path,
@@ -227,7 +231,7 @@ def input_file(path, what: str) -> Path:
 
 def load_csv(path, layout: str = "wide",
              forward_fill: bool = False) -> PanelDataset:
-    """Read a panel from CSV.
+    """Read a panel from CSV, C-ordered whatever the layout.
 
     ``wide``: header ``timestamp,<id>,<id>,...``, one row per time step.
     ``long``: header then ``channel_id,timestamp,value`` rows in any order;
@@ -260,7 +264,7 @@ def load_csv(path, layout: str = "wide",
         if len(header) < 2:
             raise ConfigError(f"{path}: wide layout needs a timestamp column "
                               "plus at least one channel")
-        channel_ids = _channel_ids(header, path, numbered[0][0])
+        channel_ids = _channel_ids(header[1:], f"{path}:{numbered[0][0]}: ")
         width = len(header)
     elif layout == "long":
         if len(header) != 3:
@@ -286,9 +290,7 @@ def load_csv(path, layout: str = "wide",
             nums)
         reject_ragged()
         _check_time_grid(stamps, path, nums)
-        # column-major, as the rows of the file lie: numpy sums over time
-        # in a layout-dependent order, and pca_fit's bits follow it
-        values = np.array(columns, order="F")
+        values = np.array(columns)
     else:
         # an empty id is a bad cell: the cells above it are parsed first
         blank = next((i for i, row in enumerate(rows) if not row[0].strip()),

@@ -148,8 +148,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def _slice_windows(values: np.ndarray, starts: np.ndarray, input_size: int,
                    horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    # a fancy index keeps each window in the panel's memory order, as
-    # np.stack did: standardize's sums over time depend on it
     ctx = sliding_window_view(values, input_size, axis=1)
     tgt = sliding_window_view(values[:, input_size:], horizon, axis=1)
     return ctx.swapaxes(0, 1)[starts], tgt.swapaxes(0, 1)[starts]

@@ -8,14 +8,15 @@ import pytest
 from mica import bench, cli
 from mica.attention import MicaConfig
 from mica.backbone import (ForecastModel, ModelConfig, config_digest,
-                           save_params)
+                           load_params, save_params)
 from mica.bench import count_flops, count_params
 from mica.cli import (main, model_config_from, parse_config,
                       train_config_from)
-from mica.data import (ConfigError, _load_clean_wide, gen_leadlag,
-                       write_csv)
+from mica.data import (ConfigError, _load_clean_wide, chrono_split,
+                       gen_leadlag, load_csv, pca_fit, write_csv)
 from mica.tensor import Tensor
-from mica.training import TrainConfig, TrainingDivergedError
+from mica.training import (TrainConfig, TrainingDivergedError,
+                           eval_windows, predict)
 
 TINY_CONF = """\
 # tiny end-to-end run
@@ -578,6 +579,61 @@ def test_eval_of_a_quoted_copy_writes_the_same_bytes(workspace,
     for report in ("metrics.csv", "forecasts.csv"):
         assert ((tmp / "plain" / report).read_bytes()
                 == (tmp / "quoted" / report).read_bytes())
+
+
+def test_the_same_values_give_the_same_bits_from_any_source(tmp_path,
+                                                             monkeypatch):
+    # a generator panel, set to repeat its predecessor in about one cell of
+    # twenty, and a wide and a long file that write those cells NA
+    panel = gen_leadlag(3, 400, lag=3, noise_sigma=0.1, seed=3)
+    values, ids = panel.values, panel.channel_ids
+    gaps = np.random.default_rng(0).random(values.shape) < 0.05
+    gaps[:, 0] = False
+    for t in np.flatnonzero(gaps.any(axis=0)):
+        values[:, t] = np.where(gaps[:, t], values[:, t - 1], values[:, t])
+    cells = [["NA" if gap else repr(v) for v, gap in zip(row, gap_row)]
+             for row, gap_row in zip(values.tolist(), gaps.tolist())]
+    (tmp_path / "wide.csv").write_text(
+        f"timestamp,{','.join(ids)}\n" + "".join(
+            f"{t},{','.join(col)}\n" for t, col in enumerate(zip(*cells))))
+    (tmp_path / "long.csv").write_text("id,ts,value\n" + "".join(
+        f"{cid},{t},{row[t]}\n" for t in reversed(range(values.shape[1]))
+        for cid, row in zip(ids, cells)))
+    sources = {"generator": ("wide", lambda *args, **kwargs: panel),
+               "wide": ("wide", load_csv), "long": ("long", load_csv)}
+    panels, outs = {}, {}
+    for name, (layout, loader) in sources.items():
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(TINY_CONF.format(data=tmp_path / f"{name}.csv")
+                        + f"data.layout = {layout}\n"
+                        + "data.forward_fill = true\n")
+        monkeypatch.setattr(cli, "load_csv", loader)
+        panels[name] = cli.load_panel(parse_config(conf))
+        out = outs[name] = tmp_path / name
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 0
+        assert main(["eval", "--config", str(conf), "--params",
+                     str(out / "params_seed1.bin"), "--out", str(out)]) == 0
+    files = sorted(p.name for p in outs["generator"].iterdir())
+    assert len(files) == 7  # 2 params, 2 reports, summary, metrics, forecasts
+    for name in ("wide", "long"):
+        got = panels[name].values
+        assert got.flags.c_contiguous
+        assert got.tobytes() == panels["generator"].values.tobytes()
+        assert (pca_fit(panels[name]).components.tobytes()
+                == pca_fit(panels["generator"]).components.tobytes())
+        for f in files:
+            assert ((outs[name] / f).read_bytes()
+                    == (outs["generator"] / f).read_bytes()), (name, f)
+    # the wide file's forecasts are the generator panel's, bit for bit
+    conf = parse_config(tmp_path / "wide.conf")
+    mcfg = model_config_from(conf)
+    model = ForecastModel(mcfg, len(ids), seed=0)
+    model.load_state(load_params(outs["wide"] / "params_seed1.bin")[1])
+    ctx, _ = eval_windows(chrono_split(panel, 20, 20), mcfg.input_size,
+                          mcfg.horizon, "test")
+    with open(outs["wide"] / "forecasts.csv") as fh:
+        got = np.array([float(row["y_pred"]) for row in csv.DictReader(fh)])
+    assert got.tobytes() == predict(model, ctx).tobytes()
 
 
 def test_eval_runs_each_split_through_the_model_once(workspace,

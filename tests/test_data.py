@@ -375,6 +375,16 @@ def test_quoted_channel_ids_round_trip(tmp_path):
     assert load_csv(path).values.tobytes() == panel.values.tobytes()
 
 
+def test_write_csv_round_trips_the_ids_the_panel_accepts(tmp_path):
+    ids = ["a,b", 'q"x', "a b", "a  b", "x", "X", "timestamp", "0", "NA"]
+    panel = PanelDataset(make_panel(c=len(ids)).values, ids)
+    path = tmp_path / "ids.csv"
+    write_csv(panel, path)
+    back = load_csv(path)
+    assert back.channel_ids == ids
+    assert back.values.tobytes() == panel.values.tobytes()
+
+
 def test_load_csv_peak_memory_is_a_few_times_its_values(tmp_path):
     # a 12000x7 panel: the cell reader peaks near 16x the values' bytes
     path = tmp_path / "wide.csv"
@@ -385,7 +395,7 @@ def test_load_csv_peak_memory_is_a_few_times_its_values(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.flags.f_contiguous
+    assert values.flags.c_contiguous
     assert peak < 5 * values.nbytes
 
 
@@ -431,6 +441,18 @@ def _load(text, layout="wide"):
     (lambda tmp: PanelDataset(np.zeros((1, 5)), ["a"], train_end=3,
                               val_end=6),
      "split bounds 0 < 3 < 6 <= 5 violated"),
+    (lambda tmp: PanelDataset(np.zeros((1, 20)), ["a"], train_end=10),
+     "set both split bounds or neither, got train_end=10, val_end=None"),
+    (lambda tmp: PanelDataset(np.zeros((1, 20)), ["a"], val_end=10),
+     "set both split bounds or neither, got train_end=None, val_end=10"),
+    (lambda tmp: PanelDataset(np.zeros((2, 5)), ["a", "a"]),
+     "channel id 'a' is named twice"),
+    (lambda tmp: PanelDataset(np.zeros((2, 5)), ["a", " a "]),
+     "channel id 'a' is named twice"),
+    (lambda tmp: PanelDataset(np.zeros((2, 5)), ["a", ""]),
+     "channel id '' is empty"),
+    (lambda tmp: PanelDataset(np.zeros((2, 5)), ["a", " "]),
+     "channel id '' is empty"),
     (_load("timestamp,a\n"), "p.csv: no data rows"),
     (_load("timestamp\n0\n"), "wide layout needs a timestamp column"),
     (_load("channel_id,timestamp\na,0\n", "long"),
@@ -446,7 +468,9 @@ def _load(text, layout="wide"):
      "noise_sigma must be >= 0 and finite, got nan"),
     (lambda tmp: gen_leadlag(3, 100, 2, noise_sigma=float("inf"), seed=0),
      "noise_sigma must be >= 0 and finite, got inf"),
-], ids=["panel_shape", "id_count", "split_bounds", "no_rows", "wide_header",
+], ids=["panel_shape", "id_count", "split_bounds", "train_end_alone",
+        "val_end_alone", "repeated_id", "repeated_stripped_id", "empty_id",
+        "blank_id", "no_rows", "wide_header",
         "long_header", "layout", "duplicate", "pca_steps", "negative_noise",
         "nan_noise", "inf_noise"])
 def test_rejected_panels_say_why(tmp_path, build, message):
@@ -644,15 +668,15 @@ def test_forward_fill_matches_the_loop_bit_for_bit(tmp_path, layout, c, t,
     raw = gappy(c, t, share, seed)
     path = tmp_path / "gappy.csv"
     write_gappy(raw, path, layout)
-    # the cell reader's memory order: Fortran for wide, C for long
-    order = "F" if layout == "wide" else "C"
-    want = loop_fill(np.array(raw, order=order), path)
+    # every panel is C-ordered, whatever the layout of the file or of the
+    # array handed to the fill
+    want = loop_fill(raw.copy(), path)
     got = load_csv(path, layout, forward_fill=True).values
     assert same_bits(got, want)
+    ids = [f"c{i}" for i in range(c)]
     for order in "CF":
-        assert same_bits(_fill_or_reject(np.array(raw, order=order), True,
-                                         path),
-                         loop_fill(np.array(raw, order=order), path))
+        filled = _fill_or_reject(np.array(raw, order=order), True, path)
+        assert same_bits(PanelDataset(filled, ids).values, want)
 
 
 @pytest.mark.parametrize("layout", ["wide", "long"])
