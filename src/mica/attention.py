@@ -5,10 +5,13 @@ channel, head dimension.  The local path is plain scaled dot-product
 softmax attention within each channel.  The global path compresses all
 channels into one kernelized key-value memory (phi(K)^T V summed over
 channels and patches) and reads it with phi(Q), which costs O(P*C) instead
-of O((P*C)^2).  A learnable gate mixes the two per head.
+of O((P*C)^2).  A learnable gate mixes the two per head.  That channel sum
+is the one op that reads across channels; ``channel_sum`` makes it, also
+across the threads of a forward split into channel slabs, to the same bits.
 """
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,6 +194,26 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _make(out, "local_attention", (q, k, v), backward)
 
 
+# (parts, barrier, i) in slab i of a split forward, else None
+channel_slab = contextvars.ContextVar("channel_slab", default=None)
+
+
+def channel_sum(*terms: np.ndarray) -> tuple:
+    """Each term summed over the channel axis (1), keeping it.  Slab i of a
+    split forward (``backbone``) puts its terms in ``parts[i]`` and sums all
+    slabs', concatenated: the unsplit array, in the unsplit order."""
+    slab = channel_slab.get()
+    if slab is None:
+        return tuple(t.sum(axis=1, keepdims=True) for t in terms)
+    parts, barrier, i = slab
+    parts[i] = terms
+    barrier.wait()
+    sums = tuple(np.concatenate(p, axis=1).sum(axis=1, keepdims=True)
+                 for p in zip(*parts))
+    barrier.wait()  # no slab replaces its part before every slab read it
+    return sums
+
+
 def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
                   exclusion: bool = False) -> tuple[Tensor, Tensor]:
     """Compress all channels into a kernelized key-value memory.
@@ -201,6 +224,7 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
     rescale each channel's contribution; exclusion removes the weighted
     own term so the decomposition M_excl(c) + w_c * own(c) = M_all holds
     in every weight mode.  M and z are two tape ops sharing one phi(K).
+    In a channel slab, ``channel_sum`` sums every slab's channels.
     """
     k, v = as_tensor(k), as_tensor(v)
     w = None if weights is None else as_tensor(weights)
@@ -218,8 +242,7 @@ def global_memory(k: Tensor, v: Tensor, weights: Tensor | None = None,
     wm, wz = own_m, own_z
     if w is not None:
         wm, wz = own_m * w.data, own_z * w.data
-    m = wm.sum(axis=1, keepdims=True)                # (B,1,N,d_k,d_v)
-    z = wz.sum(axis=1, keepdims=True)
+    m, z = channel_sum(wm, wz)                       # (B,1,N,d_k,d_v|1)
     if exclusion:
         m, z = m - wm, z - wz
 

@@ -10,20 +10,40 @@ data units.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import hashlib
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (AttentionOutput, LocalAttention, MicaAttention,
-                        MicaConfig, make_gate)
+                        MicaConfig, channel_slab, make_gate)
 from .nn import FeedForward, LayerNorm, Linear, Module, dropout
-from .tensor import ShapeError, Tensor, _check_finite, checked_once
+from .tensor import (ShapeError, Tensor, _check_finite, checked_once,
+                     deferred, grad_enabled)
 
 HEAD_KINDS = ("shared_linear", "multivariate")
+
+# bytes of the widest activation of one no-tape forward: an op's input and
+# output together then fit a 2 MiB L2, so each op reads the last one's
+# output from cache.  On the quick-start evaluate pass 512 KiB was as fast,
+# 2 MiB about 5% slower and the whole batch of 64 about 15% slower.
+CACHE_BUDGET = 1 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+# set in the tasks of ``training``'s pool, which keeps every CPU busy
+on_pool = contextvars.ContextVar("on_pool", default=False)
 
 
 class IntegrityError(RuntimeError):
@@ -194,6 +214,10 @@ class ForecastModel(Module):
         self._cfg = cfg
         self._n_channels = n_channels
         self.n_patches = patch_count(cfg.input_size, cfg.patch_len, cfg.stride)
+        # no parameter or block indexes channels, so slabs may split them
+        self._splits = not concat and cfg.head_kind == "shared_linear" and (
+            not cfg.mica or (not cfg.mica.channelwise
+                             and cfg.mica.weight_mode != "static"))
 
         self.embed = Linear(cfg.patch_len, cfg.d_model, rng)
         self._posenc = Tensor(sincos_table(self.n_patches, cfg.d_model))
@@ -228,6 +252,15 @@ class ForecastModel(Module):
     def n_channels(self) -> int:
         return self._n_channels
 
+    def activation_bytes(self, n_windows: int) -> int:
+        """Bytes of the widest per-token activation (d_model, ff_hidden or
+        a gate MLP layer) of a forward over ``n_windows`` windows."""
+        cfg = self._cfg
+        gate_widths = [w for pair in (cfg.mica.gate_layers if cfg.mica
+                                      else []) for w in pair]
+        widest = max([cfg.d_model, cfg.ff_hidden] + gate_widths)
+        return 8 * n_windows * self._n_channels * self.n_patches * widest
+
     def forward(self, y: np.ndarray, mix_override: float | None = None,
                 training: bool = False, rng=None,
                 collect: list | None = None) -> Tensor:
@@ -238,6 +271,13 @@ class ForecastModel(Module):
         raises the per-op ``NonFiniteError`` or returns the per-op
         forecast.  Nothing is rewound: each run restores the ``rng`` state
         and cuts ``collect`` back to the length they had on entry.
+
+        An untaped forward, not training nor collecting nor on the shared
+        pool, whose widest activation exceeds ``CACHE_BUDGET`` per usable
+        CPU runs its first pass as one channel slab per CPU, each but slab
+        0 on a thread ``mica-slab-<i>``, to the same bits
+        (``attention.channel_sum``).  Concat, channel gates or weights, the
+        multivariate head and the replay never split.
         """
         y = np.asarray(y, dtype=np.float64)
         cfg = self._cfg
@@ -257,9 +297,44 @@ class ForecastModel(Module):
                 rng.bit_generator.state = rng_state
             if collect is not None:
                 del collect[n_collected:]
+            slabs = min(usable_cpus(), y.shape[1])
+            if (self._splits and not (training or grad_enabled.get())
+                    and collect is None and deferred.get() and slabs > 1
+                    and not on_pool.get()
+                    and self.activation_bytes(len(y)) > CACHE_BUDGET * slabs):
+                return self._forecast_slabs(y, mix_override, slabs)
             return self._forecast(y, mix_override, training, rng, collect)
 
         return checked_once(run)
+
+    def _forecast_slabs(self, y: np.ndarray, mix_override, n: int) -> Tensor:
+        """``_forecast`` as ``n`` channel slabs joined on the channel axis;
+        the lowest slab that failed, not at a barrier another aborted,
+        raises."""
+        parts, out, errors = ([None] * n for _ in range(3))
+        barrier, ys = threading.Barrier(n), np.array_split(y, n, axis=1)
+
+        def slab(i, ctx):
+            try:
+                ctx.run(channel_slab.set, (parts, barrier, i))
+                out[i] = ctx.run(self._forecast, ys[i], mix_override, False,
+                                 None, None).data
+            except BaseException as err:  # raised once every slab is joined
+                errors[i] = err
+                barrier.abort()
+
+        threads = [threading.Thread(target=slab, name=f"mica-slab-{i}",
+                                    args=(i, contextvars.copy_context()))
+                   for i in range(1, n)]
+        for t in threads:
+            t.start()
+        slab(0, contextvars.copy_context())
+        for t in threads:
+            t.join()
+        for err in errors:
+            if not isinstance(err, (type(None), threading.BrokenBarrierError)):
+                raise err
+        return Tensor(np.concatenate(out, axis=1))
 
     def _forecast(self, y: np.ndarray, mix_override, training: bool, rng,
                   collect: list | None) -> Tensor:
@@ -272,9 +347,7 @@ class ForecastModel(Module):
                            rng=rng)
             if collect is not None:
                 collect.append(res)
-        b = y.shape[0]
-        flat = h.reshape(b, self._n_channels,
-                         self.n_patches * cfg.d_model)
+        flat = h.reshape(*y.shape[:2], self.n_patches * cfg.d_model)
         pred = self.head(flat)
         return destandardize(pred, stats)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -209,12 +208,6 @@ def blas_threads() -> int:
         raise RuntimeError("no known BLAS thread control in numpy's bundled "
                            "libraries; cannot verify single-thread execution")
     return int(controls[0]())
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def one_blas_thread() -> bool:

@@ -46,7 +46,7 @@ class PanelDataset:
                               f"got shape {self.values.shape}")
         if len(self.channel_ids) != self.values.shape[0]:
             raise ConfigError("channel id count does not match value rows")
-        _channel_ids(self.channel_ids)
+        self.channel_ids = _channel_ids(self.channel_ids)
         if (self.train_end is None) != (self.val_end is None):
             raise ConfigError(f"set both split bounds or neither, got "
                               f"train_end={self.train_end}, "
@@ -350,7 +350,7 @@ def pca_fit(panel: PanelDataset | np.ndarray) -> PcaTransform:
         end = panel.train_end if panel.train_end is not None else panel.n_steps
         x = panel.values[:, :end]
     else:
-        x = np.asarray(panel, dtype=np.float64)
+        x = np.asarray(panel, dtype=np.float64, order="C")
     if x.shape[1] < 2:
         raise ConfigError("pca_fit needs at least two time steps")
     means = x.mean(axis=1)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backbone import ForecastModel
-from .bench import one_blas_thread, usable_cpus
+from .backbone import CACHE_BUDGET, ForecastModel, on_pool, usable_cpus
+from .bench import one_blas_thread
 from .data import ConfigError, PanelDataset
 from .tensor import (NonFiniteError, ShapeError, Tensor, add_leaf_grads,
                      grad_enabled, leaf_grads, no_grad, tabs)
@@ -190,13 +190,6 @@ def eval_windows(panel: PanelDataset, input_size: int, horizon: int,
 
 # -- training loop ------------------------------------------------------------------
 
-# bytes of the widest activation of one no-tape forward: an op's input and
-# output together then fit a 2 MiB L2, so each op reads the last one's
-# output from cache.  On the quick-start evaluate pass 512 KiB was as fast,
-# 2 MiB about 5% slower and the whole batch of 64 about 15% slower.
-CACHE_BUDGET = 1 << 20
-
-
 # one worker per CPU this process may use, shared by every ``predict`` call
 # and training step, on any thread; numpy and BLAS kernels release the
 # GIL, so the workers' groups run at once.  BLAS gets one thread: with two
@@ -215,26 +208,26 @@ MIN_GROUPS = 2
 def _pooled(fn, *iterables):
     """``fn`` over the zipped ``iterables`` on the shared pool, each call in
     a copy of the caller's context of its own (two threads cannot enter
-    one); results, and so the first error, come in call order."""
+    one), with ``on_pool`` set; results, and so the first error, come in
+    call order."""
     calls = [(contextvars.copy_context(), args) for args in zip(*iterables)]
+    for ctx, _ in calls:
+        ctx.run(on_pool.set, True)
     return _POOL.map(lambda call: call[0].run(fn, *call[1]), calls)
 
 
 def windows_per_forward(model: ForecastModel, batch: int) -> int:
     """How many windows ``predict`` and a training step run per forward:
     at most ``ceil(batch / MIN_GROUPS)``, so a batch spreads over two
-    workers on any host, and as many as keep the widest per-token
-    activation (d_model, ff_hidden or a gate MLP layer) of the forward in
-    ``CACHE_BUDGET``."""
+    workers on any host, and as many as keep the forward's widest
+    activation (``ForecastModel.activation_bytes``) in ``CACHE_BUDGET``:
+    12 for the quick-start model, 1 for a 512-channel one.  Those forwards
+    run on the pool, so none splits its channels into slabs as a wide
+    forward elsewhere does (``ForecastModel.forward``)."""
     if batch < 1:
         raise ConfigError(f"batch must be positive, got {batch}")
-    cfg = model.config
-    gate_widths = [w for pair in (cfg.mica.gate_layers if cfg.mica else [])
-                   for w in pair]
-    widest = max([cfg.d_model, cfg.ff_hidden] + gate_widths)
-    window_bytes = 8 * model.n_channels * model.n_patches * widest
     return min(math.ceil(batch / MIN_GROUPS),
-               max(1, CACHE_BUDGET // window_bytes))
+               max(1, CACHE_BUDGET // model.activation_bytes(1)))
 
 
 def predict(model: ForecastModel, ctx: np.ndarray,
@@ -247,7 +240,9 @@ def predict(model: ForecastModel, ctx: np.ndarray,
     pool, inside this call's ``no_grad``, and a non-finite group raises
     what the serial loop would: the earliest such group's error.  Every op
     works window by window, so the forecasts are the bits of one forward
-    over all of ``ctx``.
+    over all of ``ctx``.  The pool keeps every CPU busy, so no forward
+    here splits its channels into slabs (``ForecastModel.forward``): on 2
+    cores, 64 windows at C=512 took 1.57 s split and 1.21 s unsplit.
     """
     group = windows_per_forward(model, batch)
     with no_grad():

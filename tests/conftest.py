@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,6 +14,15 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if item.name.startswith(SLOW_TESTS):
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(autouse=True)
+def no_slab_thread_outlives_its_test():
+    """A split forward joins every channel-slab thread it starts."""
+    yield
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("mica-slab-")]
+    assert not alive, f"slab threads still alive: {alive}"
 
 
 @pytest.fixture

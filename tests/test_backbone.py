@@ -1,12 +1,14 @@
 import math
 import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mica import tensor
+from mica import backbone, tensor
 from mica.attention import GATE_KINDS, WEIGHT_MODES, MicaConfig
 from mica.backbone import (_MAGIC, ForecastModel, IntegrityError,
                            ModelConfig, config_digest, destandardize,
@@ -614,3 +616,153 @@ def test_finite_forward_checks_far_fewer_arrays(per_op, monkeypatch):
     # v, global_memory's k, v, global_attention's q, M, z and sigmoid's
     # beta; then the forecast
     assert len(counted) == 2 * (3 + 2 + 3 + 1) + 1
+
+
+# -- channel slabs: a wide untaped forward splits its channels ---------------
+
+def thin_cfg(**over):
+    """Criterion 6's THIN config: at C=512 its widest activation, 3 MiB for
+    one window, exceeds the cache budget of two slabs."""
+    mica = over.pop("mica", {})
+    return ModelConfig(
+        horizon=24, input_size=96, n_layers=2, d_model=32, n_heads=2,
+        ff_hidden=64, d_k=16, d_v=16, **over,
+        mica=None if mica is None else MicaConfig(n_heads=2, d_k=16, d_v=16,
+                                                  **mica))
+
+
+SLAB_MODELS = {
+    "baseline": thin_cfg(mica=None),
+    "shared_beta": thin_cfg(),
+    "exclusion_dynamic": thin_cfg(mica=dict(exclusion=True,
+                                            weight_mode="dynamic")),
+    "mlp_query": thin_cfg(mica=dict(gate="mlp_query")),
+}
+
+
+def slab_widths(monkeypatch, cpus=2, budget=backbone.CACHE_BUDGET):
+    """Fake ``cpus`` usable CPUs and the cache budget, and list the channel
+    count of every ``_forecast`` a forward runs, slab or whole."""
+    monkeypatch.setattr(backbone, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(backbone, "CACHE_BUDGET", budget)
+    widths = []
+    forecast = ForecastModel._forecast
+    monkeypatch.setattr(ForecastModel, "_forecast",
+                        lambda self, y, *a: widths.append(y.shape[1])
+                        or forecast(self, y, *a))
+    return widths
+
+
+def wide_window(batch=1, channels=512):
+    return np.random.default_rng(12).normal(size=(batch, channels, 96))
+
+
+@pytest.mark.parametrize("cpus, budget, want", [
+    (2, backbone.CACHE_BUDGET, [256, 256]), (3, 0, [170, 171, 171])],
+    ids=["2_cpus", "3_cpus"])
+@pytest.mark.parametrize("name", SLAB_MODELS)
+def test_a_wide_untaped_forward_splits_to_the_taped_bits(
+        monkeypatch, name, cpus, budget, want):
+    model = ForecastModel(SLAB_MODELS[name], 512, seed=1)
+    window = wide_window()
+    taped = model.forward(window).data
+    widths = slab_widths(monkeypatch, cpus, budget)
+    with no_grad():
+        split = model.forward(window).data
+    assert sorted(widths) == want
+    assert split.tobytes() == taped.tobytes()
+
+
+def test_concurrent_split_forwards_keep_their_bits(monkeypatch):
+    # two callers at once, each with three slabs on two cores, and threads
+    # switched often: each forward meets only its own slabs
+    models = [ForecastModel(SLAB_MODELS[name], 64, seed=1)
+              for name in ("shared_beta", "exclusion_dynamic")]
+    windows = [wide_window(channels=64), 2.0 * wide_window(channels=64)]
+    want = [m.forward(w).data for m, w in zip(models, windows)]
+    widths = slab_widths(monkeypatch, cpus=3, budget=0)
+    got = [None, None]
+
+    def run(i):
+        with no_grad():
+            for _ in range(20):
+                got[i] = models[i].forward(windows[i]).data
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(widths) == 2 * 20 * 3
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("channel", [10, 300])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_in_one_slab_raises_the_per_op_error(per_op, monkeypatch,
+                                                   channel):
+    model = ForecastModel(SLAB_MODELS["shared_beta"], 512, seed=1)
+    window = wide_window()
+    window[0, channel, 40] = np.nan
+    want = per_op(lambda: outcome(model, window))
+    assert want == "non-finite values produced by op 'standardize'"
+    widths = slab_widths(monkeypatch)
+    assert outcome(model, window) == want
+    # the two slabs of the deferred pass, then the whole per-op replay
+    assert widths == [256, 256, 512]
+
+
+def test_the_lowest_failing_slab_raises_its_own_error(monkeypatch):
+    # slab 1 fails before the first memory sum, so slab 0 finds the
+    # exchange aborted; what the forward raises is slab 1's error
+    model = ForecastModel(SLAB_MODELS["shared_beta"], 8, seed=1)
+    slab_widths(monkeypatch, budget=0)
+    forecast = ForecastModel._forecast
+
+    def fail_in_slab_1(self, y, *args):
+        if threading.current_thread().name == "mica-slab-1":
+            raise KeyError("slab 1")
+        return forecast(self, y, *args)
+
+    monkeypatch.setattr(ForecastModel, "_forecast", fail_in_slab_1)
+    with no_grad(), pytest.raises(KeyError, match="slab 1"):
+        model.forward(wide_window(channels=8))
+
+
+UNSPLIT = [
+    ("concat", dict(mica=None), dict(concat=True)),
+    ("channelwise_gate", dict(mica=dict(gate="channelwise_beta")), {}),
+    ("static_weights", dict(mica=dict(weight_mode="static")), {}),
+    ("multivariate_head", dict(head_kind="multivariate"), {}),
+]
+
+
+@pytest.mark.parametrize("name, over, build", UNSPLIT,
+                         ids=[u[0] for u in UNSPLIT])
+def test_a_model_that_indexes_channels_runs_unsplit(monkeypatch, name, over,
+                                                    build):
+    model = ForecastModel(thin_cfg(**over), 8, seed=1, **build)
+    widths = slab_widths(monkeypatch, budget=0)
+    with no_grad():
+        model.forward(wide_window(channels=8))
+    assert widths == [8]
+
+
+def test_collect_training_and_the_tape_run_unsplit(monkeypatch):
+    model = ForecastModel(SLAB_MODELS["shared_beta"], 8, seed=1)
+    window = wide_window(batch=2, channels=8)
+    widths = slab_widths(monkeypatch, budget=0)
+    with no_grad():
+        model.forward(window, collect=[])
+        model.forward(window, training=True, rng=np.random.default_rng(0))
+    model.forward(window)
+    assert widths == [8, 8, 8]
+    with no_grad():
+        model.forward(window)
+    assert widths[3:] == [4, 4]                      # the budget allows it

@@ -376,12 +376,14 @@ def test_quoted_channel_ids_round_trip(tmp_path):
 
 
 def test_write_csv_round_trips_the_ids_the_panel_accepts(tmp_path):
-    ids = ["a,b", 'q"x', "a b", "a  b", "x", "X", "timestamp", "0", "NA"]
+    ids = ["a,b", 'q"x', "a b", "a  b", "x", "X", "timestamp", "0", "NA",
+           " lead", "trail "]
     panel = PanelDataset(make_panel(c=len(ids)).values, ids)
     path = tmp_path / "ids.csv"
     write_csv(panel, path)
     back = load_csv(path)
-    assert back.channel_ids == ids
+    # the panel keeps the stripped ids that load_csv reads back
+    assert back.channel_ids == panel.channel_ids == [i.strip() for i in ids]
     assert back.values.tobytes() == panel.values.tobytes()
 
 
@@ -500,6 +502,9 @@ def test_unsplit_panel_refuses_training_use():
 def test_pca_roundtrip_and_orthonormality():
     panel = make_panel(c=5, t=300, seed=3)
     tr = pca_fit(panel.values)
+    # the fit sums in one memory order, whatever the array's
+    fortran = pca_fit(np.asfortranarray(panel.values))
+    assert fortran.components.tobytes() == tr.components.tobytes()
     rotated = pca_apply(tr, panel.values)
     back = pca_invert(tr, rotated)
     npt.assert_allclose(back, panel.values, atol=1e-10)

@@ -14,7 +14,7 @@ import pytest
 
 import mica
 
-from mica import tensor, training
+from mica import backbone, tensor, training
 from mica.attention import GATE_KINDS, MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.data import ConfigError, PanelDataset, chrono_split, gen_leadlag
@@ -612,6 +612,28 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch, shared_pool):
                                64) == 8
     with pytest.raises(ConfigError, match="batch"):
         windows_per_forward(model, 0)
+
+
+def test_predict_runs_wide_windows_unsplit_to_the_taped_bits(monkeypatch):
+    # one window per forward at C=512; the pool's workers already keep
+    # every CPU busy, so no forward there splits its channels
+    thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
+                       n_heads=2, ff_hidden=64, d_k=16, d_v=16,
+                       mica=MicaConfig(n_heads=2, d_k=16, d_v=16))
+    model = ForecastModel(thin, 512, seed=1)
+    ctx = np.random.default_rng(6).normal(size=(3, 512, 96))
+    want = model.forward(ctx).data                   # taped, so unsplit
+    monkeypatch.setattr(backbone, "usable_cpus", lambda: 2)
+    widths, forecast = [], ForecastModel._forecast
+    monkeypatch.setattr(ForecastModel, "_forecast",
+                        lambda self, y, *a: widths.append(y.shape[1])
+                        or forecast(self, y, *a))
+    assert predict(model, ctx).tobytes() == want.tobytes()
+    assert widths == [512] * 3
+    widths.clear()
+    with no_grad():
+        model.forward(ctx[:1])
+    assert widths == [256, 256]                      # off the pool, it splits
 
 
 CPU_COUNT_RUN = """
