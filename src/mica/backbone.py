@@ -7,6 +7,10 @@ separate except inside the global attention path or a concat block),
 flatten patch states, and project to the horizon.  Predictions are
 de-standardized back to the original units, so losses and metrics are in
 data units.
+
+An untaped forward decides how it uses the cores: window groups on a pool
+it shares with training steps, or channel slabs for one wide window
+(``ForecastModel.forward``).
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import math
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +47,37 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-# set in the tasks of ``training``'s pool, which keeps every CPU busy
-on_pool = contextvars.ContextVar("on_pool", default=False)
+# one worker per CPU this process may use, shared by every untaped
+# multi-window forward and training step, on any thread; numpy and BLAS
+# kernels release the GIL, so the workers' groups run at once.  BLAS gets
+# one thread (``training.BLAS_ONE_THREAD``): with two per call as well, a
+# pooled quick-start step took 282-333 ms on 2 cores, against 140-168 ms
+_POOL = ThreadPoolExecutor(max_workers=usable_cpus())
+
+# a batch of two or more windows runs as at least this many groups, so a
+# batch that fits one cache group still uses two workers; a fixed count,
+# not the pool's size, since group sizes set the order gradients are
+# summed in, and so the training bits
+MIN_GROUPS = 2
+
+
+def _pooled(fn, *iterables):
+    """``fn`` over the zipped ``iterables`` on the shared pool, each call in
+    a copy of the caller's context of its own (two threads cannot enter
+    one); results, and so the first error, come in call order."""
+    calls = [(contextvars.copy_context(), args) for args in zip(*iterables)]
+    return _POOL.map(lambda call: call[0].run(fn, *call[1]), calls)
+
+
+def windows_per_forward(model: ForecastModel, batch: int) -> int:
+    """How many windows each pool group of an untaped forward or a training
+    step over ``batch`` windows takes: at most ``ceil(batch / MIN_GROUPS)``,
+    so a batch spreads over two workers on any host, and as many as keep
+    the group's widest activation (``ForecastModel.activation_bytes``) in
+    ``CACHE_BUDGET``: 12 for the quick-start model, 1 for a 512-channel
+    one."""
+    return min(math.ceil(batch / MIN_GROUPS),
+               max(1, CACHE_BUDGET // model.activation_bytes(1)))
 
 
 class IntegrityError(RuntimeError):
@@ -272,10 +306,12 @@ class ForecastModel(Module):
         forecast.  Nothing is rewound: each run restores the ``rng`` state
         and cuts ``collect`` back to the length they had on entry.
 
-        An untaped forward, not training nor collecting nor on the shared
-        pool, whose widest activation exceeds ``CACHE_BUDGET`` per usable
-        CPU runs its first pass as one channel slab per CPU, each but slab
-        0 on a thread ``mica-slab-<i>``, to the same bits
+        An untaped forward, not training nor collecting, uses every usable
+        CPU to the bits of one pass.  Two or more windows run, replay too,
+        as groups of ``windows_per_forward(self, len(y))`` on the shared
+        pool; no group splits.  One window whose widest activation exceeds
+        ``CACHE_BUDGET`` per usable CPU runs its first pass as one channel
+        slab per CPU, each but slab 0 on a thread ``mica-slab-<i>``
         (``attention.channel_sum``).  Concat, channel gates or weights, the
         multivariate head and the replay never split.
         """
@@ -297,10 +333,15 @@ class ForecastModel(Module):
                 rng.bit_generator.state = rng_state
             if collect is not None:
                 del collect[n_collected:]
+            untaped = not (training or grad_enabled.get()) and collect is None
+            if untaped and len(y) > 1:
+                group = windows_per_forward(self, len(y))
+                return Tensor(np.concatenate(list(_pooled(
+                    lambda start: self._forecast(
+                        y[start:start + group], mix_override, False, None,
+                        None).data, range(0, len(y), group)))))
             slabs = min(usable_cpus(), y.shape[1])
-            if (self._splits and not (training or grad_enabled.get())
-                    and collect is None and deferred.get() and slabs > 1
-                    and not on_pool.get()
+            if (untaped and self._splits and deferred.get() and slabs > 1
                     and self.activation_bytes(len(y)) > CACHE_BUDGET * slabs):
                 return self._forecast_slabs(y, mix_override, slabs)
             return self._forecast(y, mix_override, training, rng, collect)

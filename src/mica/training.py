@@ -7,26 +7,25 @@ before.  The best-validation parameters are restored before test metrics are
 computed.  Every forward and loss op is checked for NaN/Inf; the first one
 found ends the run with ``TrainingDivergedError``, which names the op.
 
-Training steps and ``predict`` split their windows into cache-sized groups
-and run them on one pool with a worker per usable CPU, each group in a
-copy of its caller's context (``_pooled``).  A step's groups each take a
-forward, their share of the loss and their leaf gradients
-(``tensor.leaf_grads``) at once; the step adds them into the parameters'
-``.grad`` in group order, so its bits depend on neither scheduling nor the
-CPU count.  Importing the module gives numpy's bundled OpenBLAS one
-thread per call, since the pool already uses every core.
+A training step splits its windows into cache-sized groups
+(``backbone.windows_per_forward``) and runs them on the shared pool
+(``backbone._pooled``), each group in a copy of the step's context.  The
+groups each take a forward, their share of the loss and their leaf
+gradients (``tensor.leaf_grads``) at once; the step adds them into the
+parameters' ``.grad`` in group order, so its bits depend on neither
+scheduling nor the CPU count.  ``predict`` feeds untaped forwards ``batch``
+windows at a time; each forward decides how it uses the cores.  Importing
+the module gives numpy's bundled OpenBLAS one thread per call, since the
+pool already uses every core.
 """
 from __future__ import annotations
 
-import contextvars
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backbone import CACHE_BUDGET, ForecastModel, on_pool, usable_cpus
+from .backbone import ForecastModel, _pooled, windows_per_forward
 from .bench import one_blas_thread
 from .data import ConfigError, PanelDataset
 from .tensor import (NonFiniteError, ShapeError, Tensor, add_leaf_grads,
@@ -87,20 +86,23 @@ class TrainReport:
 
 # -- metrics -------------------------------------------------------------------
 
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def _error(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    """``y_true - y_pred`` of two equal, non-empty shapes."""
     y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ShapeError(f"metric shapes differ: {y_true.shape} vs "
                          f"{y_pred.shape}")
-    return float(np.mean(np.abs(y_true - y_pred)))
+    if not y_true.size:
+        raise ShapeError(f"metric of no values, shape {y_true.shape}")
+    return y_true - y_pred
+
+
+def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    return float(np.mean(np.abs(_error(y_true, y_pred))))
 
 
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ShapeError(f"metric shapes differ: {y_true.shape} vs "
-                         f"{y_pred.shape}")
-    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
+    return float(np.sqrt(np.mean(_error(y_true, y_pred) ** 2)))
 
 
 def mae_loss(y_true: np.ndarray, y_pred: Tensor) -> Tensor:
@@ -190,71 +192,25 @@ def eval_windows(panel: PanelDataset, input_size: int, horizon: int,
 
 # -- training loop ------------------------------------------------------------------
 
-# one worker per CPU this process may use, shared by every ``predict`` call
-# and training step, on any thread; numpy and BLAS kernels release the
-# GIL, so the workers' groups run at once.  BLAS gets one thread: with two
-# per call as well, a pooled quick-start step took 282-333 ms on 2 cores,
-# against 140-168 ms
-_POOL = ThreadPoolExecutor(max_workers=usable_cpus())
 BLAS_ONE_THREAD = one_blas_thread()
-
-# a batch of two or more windows runs as at least this many groups, so a
-# batch that fits one cache group still uses two workers; a fixed count,
-# not the pool's size, since group sizes set the order gradients are
-# summed in, and so the training bits
-MIN_GROUPS = 2
-
-
-def _pooled(fn, *iterables):
-    """``fn`` over the zipped ``iterables`` on the shared pool, each call in
-    a copy of the caller's context of its own (two threads cannot enter
-    one), with ``on_pool`` set; results, and so the first error, come in
-    call order."""
-    calls = [(contextvars.copy_context(), args) for args in zip(*iterables)]
-    for ctx, _ in calls:
-        ctx.run(on_pool.set, True)
-    return _POOL.map(lambda call: call[0].run(fn, *call[1]), calls)
-
-
-def windows_per_forward(model: ForecastModel, batch: int) -> int:
-    """How many windows ``predict`` and a training step run per forward:
-    at most ``ceil(batch / MIN_GROUPS)``, so a batch spreads over two
-    workers on any host, and as many as keep the forward's widest
-    activation (``ForecastModel.activation_bytes``) in ``CACHE_BUDGET``:
-    12 for the quick-start model, 1 for a 512-channel one.  Those forwards
-    run on the pool, so none splits its channels into slabs as a wide
-    forward elsewhere does (``ForecastModel.forward``)."""
-    if batch < 1:
-        raise ConfigError(f"batch must be positive, got {batch}")
-    return min(math.ceil(batch / MIN_GROUPS),
-               max(1, CACHE_BUDGET // model.activation_bytes(1)))
 
 
 def predict(model: ForecastModel, ctx: np.ndarray,
             batch: int = 64) -> np.ndarray:
-    """Forecasts for every window, without the tape.
-
-    ``batch`` is an upper bound on the windows per forward: forwards take
-    ``windows_per_forward(model, batch)`` windows each, so their
-    activations stay in cache.  The groups run concurrently on the shared
-    pool, inside this call's ``no_grad``, and a non-finite group raises
-    what the serial loop would: the earliest such group's error.  Every op
-    works window by window, so the forecasts are the bits of one forward
-    over all of ``ctx``.  The pool keeps every CPU busy, so no forward
-    here splits its channels into slabs (``ForecastModel.forward``): on 2
-    cores, 64 windows at C=512 took 1.57 s split and 1.21 s unsplit.
-    """
-    group = windows_per_forward(model, batch)
-    with no_grad():
-        return np.concatenate(list(_pooled(
-            lambda start: model.forward(ctx[start:start + group]).data,
-            range(0, len(ctx), group))), axis=0)
+    """Forecasts for every window, from one untaped forward per ``batch``
+    windows; each forward decides how it uses the cores
+    (``ForecastModel.forward``).  Zero windows give a (0, C, H) array."""
+    if batch < 1:
+        raise ConfigError(f"batch must be positive, got {batch}")
+    with no_grad():  # zero windows take one forward, for the shape
+        return np.concatenate([model.forward(ctx[start:start + batch]).data
+                               for start in range(0, len(ctx) or 1, batch)])
 
 
 def evaluate(model: ForecastModel, ctx: np.ndarray, tgt: np.ndarray,
              batch: int = 64) -> tuple[float, float]:
-    """MAE and RMSE over windows, computed without the tape; ``batch`` is
-    an upper bound on the windows per forward, as in ``predict``."""
+    """MAE and RMSE over windows, computed without the tape, ``batch``
+    windows per forward, as in ``predict``."""
     pred = predict(model, ctx, batch)
     return mae(tgt, pred), rmse(tgt, pred)
 

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from mica import backbone, tensor, training
+from mica import backbone, tensor
 
 # criteria 6 (the channel-scaling wall clock) and 8 (the lead-lag training
 # runs) take minutes; ``-m "not slow"`` leaves them out
@@ -49,11 +49,10 @@ def unchecked(monkeypatch):
 
 @pytest.fixture
 def shared_pool(monkeypatch):
-    """``shared_pool(workers)`` gives training's shared pool ``workers``
-    threads for one test, and returns the pool, which ``with`` shuts
-    down."""
+    """``shared_pool(workers)`` gives the shared pool ``workers`` threads
+    for one test, and returns the pool, which ``with`` shuts down."""
     def swap(workers):
         pool = ThreadPoolExecutor(max_workers=workers)
-        monkeypatch.setattr(training, "_POOL", pool)
+        monkeypatch.setattr(backbone, "_POOL", pool)
         return pool
     return swap

@@ -3,8 +3,9 @@
 Each test prints a `[PASS] criterion N` line directly to the terminal
 (bypassing capture) so a full run reads as a checklist.  Budgets are
 asserted with the margins observed with BLAS on one thread.  The timing
-criteria do not assume a single-core machine: ``measure_latency`` pins
-numpy's BLAS pool to one thread for each timed call and restores it after.
+criteria do not assume a single-core machine: importing ``mica`` gives
+numpy's BLAS pool one thread (``training.BLAS_ONE_THREAD``), and
+``measure_latency`` checks that it still has one before it times a call.
 """
 import csv
 import time

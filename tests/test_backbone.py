@@ -653,6 +653,17 @@ def slab_widths(monkeypatch, cpus=2, budget=backbone.CACHE_BUDGET):
     return widths
 
 
+def forecast_calls(monkeypatch) -> list:
+    """List the thread and the (windows, channels) of every ``_forecast``
+    a forward runs."""
+    calls, forecast = [], ForecastModel._forecast
+    monkeypatch.setattr(ForecastModel, "_forecast",
+                        lambda self, y, *a: calls.append(
+                            (threading.current_thread().name, y.shape[:2]))
+                        or forecast(self, y, *a))
+    return calls
+
+
 def wide_window(batch=1, channels=512):
     return np.random.default_rng(12).normal(size=(batch, channels, 96))
 
@@ -700,6 +711,59 @@ def test_concurrent_split_forwards_keep_their_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert len(widths) == 2 * 20 * 3
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_an_untaped_forward_runs_every_group_on_a_pool_worker(monkeypatch):
+    model, window = quickstart_model(), quickstart_window(batch=30)
+    taped = model.forward(window).data
+    calls = forecast_calls(monkeypatch)
+    with no_grad():
+        grouped = model.forward(window).data
+    assert sorted(shape for _, shape in calls) == [(6, 7), (12, 7), (12, 7)]
+    caller = threading.current_thread().name
+    assert all(name.startswith("ThreadPoolExecutor") and name != caller
+               for name, _ in calls)
+    assert grouped.tobytes() == taped.tobytes()
+
+
+def test_wide_windows_run_as_pool_groups_that_never_split(monkeypatch):
+    # at C=512 each window exceeds the budget of two slabs, yet the two
+    # windows run as two one-window groups, the pool keeping both CPUs busy
+    model = ForecastModel(SLAB_MODELS["shared_beta"], 512, seed=1)
+    window = wide_window(batch=2)
+    taped = model.forward(window).data
+    monkeypatch.setattr(backbone, "usable_cpus", lambda: 2)
+    calls = forecast_calls(monkeypatch)
+    with no_grad():
+        grouped = model.forward(window).data
+    assert [shape for _, shape in calls] == [(1, 512), (1, 512)]
+    assert not any(name.startswith("mica-slab-") for name, _ in calls)
+    assert grouped.tobytes() == taped.tobytes()
+
+
+def test_concurrent_wide_batches_keep_their_bits():
+    # two callers at once put their one-window groups on the shared pool
+    model = ForecastModel(SLAB_MODELS["shared_beta"], 512, seed=1)
+    windows = [wide_window(batch=8), 2.0 * wide_window(batch=8)]
+    want = [model.forward(w).data for w in windows]
+    got = [None, None]
+
+    def run(i):
+        with no_grad():
+            got[i] = model.forward(windows[i]).data
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
@@ -764,5 +828,7 @@ def test_collect_training_and_the_tape_run_unsplit(monkeypatch):
     model.forward(window)
     assert widths == [8, 8, 8]
     with no_grad():
+        model.forward(window[:1])
+        assert widths[3:] == [4, 4]                  # the budget allows it
         model.forward(window)
-    assert widths[3:] == [4, 4]                      # the budget allows it
+    assert widths[5:] == [8, 8]          # two one-window groups, unsplit

@@ -16,13 +16,12 @@ import mica
 
 from mica import backbone, tensor, training
 from mica.attention import GATE_KINDS, MicaConfig
-from mica.backbone import ForecastModel, ModelConfig
+from mica.backbone import ForecastModel, ModelConfig, windows_per_forward
 from mica.data import ConfigError, PanelDataset, chrono_split, gen_leadlag
 from mica.tensor import NonFiniteError, ShapeError, Tensor, no_grad
 from mica.training import (Adam, TrainConfig, TrainingDivergedError,
                            eval_windows, evaluate, lr_at, mae, mae_loss,
-                           predict, rmse, sample_windows, train,
-                           windows_per_forward)
+                           predict, rmse, sample_windows, train)
 
 
 def tiny_model(**over):
@@ -281,7 +280,7 @@ def test_train_determinism_same_seed():
 def test_pooled_steps_track_a_whole_batch_backward(monkeypatch):
     # the group losses and gradients, summed in group order, are the
     # whole-batch loss and gradient up to rounding
-    monkeypatch.setattr(training, "MIN_GROUPS", 4)        # 4 groups of 2
+    monkeypatch.setattr(backbone, "MIN_GROUPS", 4)        # 4 groups of 2
     panel, steps = tiny_panel(), 24
     cfg = TrainConfig(windows_batch=8, max_steps=steps,
                       val_check_every=steps, seeds=(1,))
@@ -305,7 +304,7 @@ def test_pooled_steps_track_a_whole_batch_backward(monkeypatch):
 def test_dropout_masks_do_not_depend_on_the_pool(monkeypatch, shared_pool):
     # each group draws its masks from a generator of its own, spawned in
     # group order, so one worker or two give the same bits, run after run
-    monkeypatch.setattr(training, "MIN_GROUPS", 4)
+    monkeypatch.setattr(backbone, "MIN_GROUPS", 4)
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=6, val_check_every=3,
                       seeds=(1,))
@@ -326,7 +325,7 @@ def test_concurrent_train_calls_each_get_the_serial_run(monkeypatch):
     # put their groups on the shared pool at once, with thread switches
     # forced often; a walk that wrote a shared parameter would change some
     # run's bits
-    monkeypatch.setattr(training, "MIN_GROUPS", 4)
+    monkeypatch.setattr(backbone, "MIN_GROUPS", 4)
     panel = tiny_panel()
     cfg = TrainConfig(windows_batch=8, max_steps=4, val_check_every=2,
                       seeds=(1,))
@@ -554,11 +553,12 @@ PREDICT_MODELS = {
 }
 
 
-def forward_sizes(model, monkeypatch) -> list:
-    """Record the window count of every forward of ``model``."""
-    sizes, forward = [], model.forward
-    monkeypatch.setattr(model, "forward",
-                        lambda y: sizes.append(len(y)) or forward(y))
+def forward_sizes(monkeypatch) -> list:
+    """Record the window count of every ``_forecast`` pass."""
+    sizes, forecast = [], ForecastModel._forecast
+    monkeypatch.setattr(ForecastModel, "_forecast",
+                        lambda self, y, *a: sizes.append(len(y))
+                        or forecast(self, y, *a))
     return sizes
 
 
@@ -568,11 +568,10 @@ def test_predict_in_window_groups_is_one_whole_batch_forward(
     mica_kw, over = PREDICT_MODELS[name]
     model = quickstart_model(mica_kw, **over)
     ctx = np.random.default_rng(5).normal(size=(30, 7, 96)) * 3.0 + 1.0
-    with no_grad():
-        want = model.forward(ctx).data
-    sizes = forward_sizes(model, monkeypatch)
+    want = model.forward(ctx).data                   # taped: one pass
+    sizes = forward_sizes(monkeypatch)
     got = predict(model, ctx)
-    group = windows_per_forward(model, 64)           # 12, 8 for mlp_query
+    group = windows_per_forward(model, 30)           # 12, 8 for mlp_query
     # pool workers may run the groups in any order
     assert sorted(sizes) == sorted([group] * (30 // group) + [30 % group])
     assert got.tobytes() == want.tobytes()
@@ -590,7 +589,7 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch, shared_pool):
     model = quickstart_model({})
     # criterion 8's model (C=8, P=2) fits 64 windows in the budget
     c8 = criterion8_model()
-    sizes = forward_sizes(model, monkeypatch)
+    sizes = forward_sizes(monkeypatch)
     for workers in (1, 2, 4):
         with shared_pool(workers):
             assert windows_per_forward(model, 64) == 12
@@ -600,9 +599,14 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch, shared_pool):
             assert windows_per_forward(model, 1) == 1
             assert windows_per_forward(c8, 32) == 16
             sizes.clear()
+            # forwards of 5, 5 and 1 windows, in groups of 3 and 2
             predict(model, np.zeros((11, 7, 96)) + np.arange(96), batch=5)
-            assert sorted(sizes) == [2, 3, 3, 3]
-    # criterion 6's THIN model at C=512 takes one window per forward
+            assert sorted(sizes) == [1, 2, 2, 3, 3]
+    sizes.clear()
+    # zero windows take one forward, for the (0, C, H) shape
+    assert predict(model, np.zeros((0, 7, 96))).shape == (0, 7, 24)
+    assert sizes == [0]
+    # criterion 6's THIN model at C=512 takes one window per group
     thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
                        n_heads=2, ff_hidden=64, d_k=16, d_v=16,
                        mica=MicaConfig(n_heads=2, d_k=16, d_v=16))
@@ -611,12 +615,12 @@ def test_windows_per_forward_fit_the_cache_budget(monkeypatch, shared_pool):
     assert windows_per_forward(quickstart_model({"gate": "mlp_query"}),
                                64) == 8
     with pytest.raises(ConfigError, match="batch"):
-        windows_per_forward(model, 0)
+        predict(model, np.zeros((2, 7, 96)), batch=0)
 
 
 def test_predict_runs_wide_windows_unsplit_to_the_taped_bits(monkeypatch):
-    # one window per forward at C=512; the pool's workers already keep
-    # every CPU busy, so no forward there splits its channels
+    # one window per group at C=512; the pool's workers already keep
+    # every CPU busy, so no group splits its channels
     thin = ModelConfig(horizon=24, input_size=96, n_layers=2, d_model=32,
                        n_heads=2, ff_hidden=64, d_k=16, d_v=16,
                        mica=MicaConfig(n_heads=2, d_k=16, d_v=16))
@@ -633,7 +637,7 @@ def test_predict_runs_wide_windows_unsplit_to_the_taped_bits(monkeypatch):
     widths.clear()
     with no_grad():
         model.forward(ctx[:1])
-    assert widths == [256, 256]                      # off the pool, it splits
+    assert widths == [256, 256]                      # one window splits
 
 
 CPU_COUNT_RUN = """
@@ -642,7 +646,7 @@ n, shape = int(sys.argv[1]), sys.argv[2]
 # the host this interpreter sees has n CPUs
 os.sched_getaffinity = lambda pid: set(range(n))
 os.cpu_count = lambda: n
-from mica import training
+from mica import backbone, training
 from mica.attention import MicaConfig
 from mica.backbone import ForecastModel, ModelConfig
 from mica.data import chrono_split, gen_leadlag
@@ -662,7 +666,7 @@ report = training.train(model, panel, training.TrainConfig(
 bits = hashlib.sha1(repr((report.train_trace, report.test_mae)).encode())
 for p in model.parameters():
     bits.update(p.data.tobytes())
-print(training._POOL._max_workers, bits.hexdigest())
+print(backbone._POOL._max_workers, bits.hexdigest())
 """
 
 
@@ -690,7 +694,7 @@ def test_a_callers_tape_flags_reach_every_pooled_group(shared_pool):
         return taped, tensor.grad_enabled.get(), tensor.deferred.get()
 
     def seen():
-        return set(training._pooled(flags, range(8)))
+        return set(backbone._pooled(flags, range(8)))
 
     def seen_in_a_checked_pass():
         got = []
@@ -718,9 +722,9 @@ def test_a_pooled_task_leaks_no_flag_to_its_caller_or_the_next_task(
         return flags
 
     with shared_pool(1) as pool:
-        assert list(training._pooled(flip, range(3))) == [(True, False)] * 3
+        assert list(backbone._pooled(flip, range(3))) == [(True, False)] * 3
         with no_grad():
-            assert list(training._pooled(flip, range(3))) == [
+            assert list(backbone._pooled(flip, range(3))) == [
                 (False, False)] * 3
         # nor does the worker thread's own context change
         assert pool.submit(flip, 0).result() == (True, False)
@@ -770,14 +774,14 @@ def test_concurrent_predict_calls_each_get_the_serial_forecast():
 
 def test_pool_workers_record_no_tape(monkeypatch):
     model = quickstart_model({})
-    forward, taped = model.forward, []
+    forecast, taped = ForecastModel._forecast, []
 
-    def watched(y):
-        out = forward(y)
+    def watched(self, y, *args):
+        out = forecast(self, y, *args)
         taped.append((threading.current_thread().name, out.requires_grad))
         return out
 
-    monkeypatch.setattr(model, "forward", watched)
+    monkeypatch.setattr(ForecastModel, "_forecast", watched)
     predict(model, np.zeros((30, 7, 96)) + np.arange(96))
     assert len(taped) == 3
     assert all(thread != threading.current_thread().name and not grad
@@ -789,7 +793,7 @@ def test_nan_window_in_a_later_group_raises_the_whole_batch_error():
     model = quickstart_model({})
     ctx = np.random.default_rng(6).normal(size=(30, 7, 96))
     ctx[15, 3, 40] = np.nan                          # in the second group
-    with no_grad(), pytest.raises(NonFiniteError) as whole:
+    with pytest.raises(NonFiniteError) as whole:     # taped: one pass
         model.forward(ctx)
     with pytest.raises(NonFiniteError) as grouped:
         predict(model, ctx)
@@ -804,7 +808,12 @@ def test_nan_window_in_a_later_group_raises_the_whole_batch_error():
      "loss shapes differ: (2, 3) vs (3, 2)"),
     (lambda: eval_windows(tiny_panel(), 8, 4, "train"), ConfigError,
      "unknown split 'train'"),
-], ids=["rmse_shapes", "loss_shapes", "split"])
+    (lambda: mae(np.zeros((0, 7, 24)), np.zeros((0, 7, 24))), ShapeError,
+     "metric of no values, shape (0, 7, 24)"),
+    (lambda: rmse(np.zeros((0, 7, 24)), np.zeros((0, 7, 24))), ShapeError,
+     "metric of no values, shape (0, 7, 24)"),
+], ids=["rmse_shapes", "loss_shapes", "split", "mae_no_windows",
+        "rmse_no_windows"])
 def test_rejected_training_inputs_say_why(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build()
